@@ -9,15 +9,7 @@
 // on the largest DCSBM, with a bit-identity check against the 1-thread run
 // and the scheduler's steals / steal_failures / imbalance telemetry
 // (docs/THREADING.md), written to BENCH_scaling.json. Override the counts
-// with --threads=1,2,4 or the TLP_BENCH_THREADS environment knob.
-// The sweep then re-runs the largest configuration through the sharded
-// message-passing claim path (num_shards in {1, 4, 16}) — every row must
-// still be byte-identical to the 1-thread shared-memory baseline, and the
-// rows record the protocol's messages_sent / claim_rounds cost (all rows
-// carry the three fields; shared-memory rows report shards = 0). Finally
-// the top shard count re-runs over the socket transports (socketpair, then
-// localhost TCP; dist/transport.hpp) — still byte-identical — and the rows
-// price the wire: bytes_on_wire and barrier_wait_s (0 off the wire). See
+// with --threads=1,2,4 or the TLP_BENCH_THREADS environment knob. See
 // docs/BENCHMARKS.md for the JSON schema.
 #include <chrono>
 #include <cstdint>
@@ -31,7 +23,6 @@
 #include "bench_common/table.hpp"
 #include "core/multi_tlp.hpp"
 #include "core/tlp.hpp"
-#include "dist/transport.hpp"
 #include "gen/generators.hpp"
 #include "metis/multilevel.hpp"
 #include "partition/metrics.hpp"
@@ -113,41 +104,8 @@ int main(int argc, char** argv) {
   PartitionConfig config;
   config.num_partitions = p;
 
-  // Row plan: the thread × steal sweep over the shared-memory claim path
-  // (shards = 0), then the sharded message-passing path at the largest
-  // worker count (shards in {1, 4, 16}). Every row must reproduce the
-  // first row's bytes.
-  struct Combo {
-    std::size_t threads;
-    bool steal;
-    std::uint32_t shards;
-    dist::Transport transport = dist::Transport::kInProc;
-  };
-  std::vector<Combo> combos;
-  for (const std::size_t threads : thread_counts) {
-    // 1 thread runs inline (no pool, no scheduler), so the steal A/B only
-    // exists for multi-threaded rows.
-    for (const bool steal : threads == 1 ? std::vector<bool>{true}
-                                         : std::vector<bool>{false, true}) {
-      combos.push_back(Combo{threads, steal, 0});
-    }
-  }
-  const std::size_t max_threads = thread_counts.back();
-  for (const std::uint32_t shards : {1u, 4u, 16u}) {
-    combos.push_back(Combo{max_threads, true, shards});
-  }
-  // Transport sweep at the top shard count: the same protocol over real
-  // sockets (socketpair ranks, then localhost TCP). Still byte-identical;
-  // the rows price the wire (bytes_on_wire, barrier_wait_s) against the
-  // in-process fabric row above.
-  for (const dist::Transport transport :
-       {dist::Transport::kSocket, dist::Transport::kSocketTcp}) {
-    combos.push_back(Combo{max_threads, true, 16u, transport});
-  }
-
-  Table scaling({"threads", "steal", "shards", "transport", "seconds",
-                 "speedup", "RF", "steals", "steal_fail", "imbalance", "msgs",
-                 "rounds", "wire MB", "barrier s", "identical"});
+  Table scaling({"threads", "steal", "seconds", "speedup", "RF", "steals",
+                 "steal_fail", "imbalance", "identical"});
   std::vector<PartitionId> baseline;
   double baseline_seconds = 0.0;
   std::string json = "{\"bench\":\"scaling\",\"graph\":{\"n\":" +
@@ -155,73 +113,55 @@ int main(int argc, char** argv) {
                      ",\"m\":" + std::to_string(g_large.num_edges()) +
                      "},\"p\":" + std::to_string(p) + ",\"sweep\":[";
   bool first = true;
-  for (const Combo& combo : combos) {
-    const std::size_t threads = combo.threads;
-    const bool steal = combo.steal;
-    MultiTlpOptions options;
-    options.num_threads = threads;
-    options.steal = steal;
-    options.num_shards = combo.shards;
-    options.transport = combo.transport;
-    const MultiTlpPartitioner multi{options};
-    RunContext run_ctx;
-    const auto t0 = std::chrono::steady_clock::now();
-    const EdgePartition part = multi.partition(g_large, config, run_ctx);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (baseline.empty()) {
-      baseline = part.raw();
-      baseline_seconds = seconds;
+  // The thread × steal sweep; 1 thread runs inline (no pool, no
+  // scheduler), so the steal A/B only exists for multi-threaded rows.
+  // Every row must reproduce the first row's bytes.
+  for (const std::size_t threads : thread_counts) {
+    for (const bool steal : threads == 1 ? std::vector<bool>{true}
+                                         : std::vector<bool>{false, true}) {
+      MultiTlpOptions options;
+      options.num_threads = threads;
+      options.steal = steal;
+      const MultiTlpPartitioner multi{options};
+      RunContext run_ctx;
+      const auto t0 = std::chrono::steady_clock::now();
+      const EdgePartition part = multi.partition(g_large, config, run_ctx);
+      const auto t1 = std::chrono::steady_clock::now();
+      const double seconds = std::chrono::duration<double>(t1 - t0).count();
+      if (baseline.empty()) {
+        baseline = part.raw();
+        baseline_seconds = seconds;
+      }
+      const bool identical = part.raw() == baseline;
+      const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
+      const Telemetry& t = run_ctx.telemetry();
+      const auto steals = static_cast<std::uint64_t>(t.counter("steals"));
+      const auto steal_failures =
+          static_cast<std::uint64_t>(t.counter("steal_failures"));
+      const double imbalance = t.counter("imbalance");
+      scaling.add_row({std::to_string(threads), steal ? "on" : "off",
+                       fmt_double(seconds, 3), fmt_double(speedup, 2),
+                       fmt_double(replication_factor(g_large, part), 3),
+                       std::to_string(steals), std::to_string(steal_failures),
+                       fmt_double(imbalance, 3), identical ? "yes" : "NO"});
+      if (!first) json += ',';
+      first = false;
+      json += "{\"threads\":" + std::to_string(threads) +
+              ",\"steal\":" + (steal ? "true" : "false") +
+              ",\"seconds\":" + fmt_double(seconds, 6) +
+              ",\"speedup\":" + fmt_double(speedup, 4) +
+              ",\"steals\":" + std::to_string(steals) +
+              ",\"steal_failures\":" + std::to_string(steal_failures) +
+              ",\"imbalance\":" + fmt_double(imbalance, 4) +
+              ",\"identical\":" + (identical ? "true" : "false") + "}";
+      if (!identical) {
+        std::cerr << "FATAL: " << threads << "-thread (steal "
+                  << (steal ? "on" : "off")
+                  << ") result differs from 1-thread baseline\n";
+        return 1;
+      }
+      std::cout.flush();
     }
-    const bool identical = part.raw() == baseline;
-    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
-    const Telemetry& t = run_ctx.telemetry();
-    const auto steals = static_cast<std::uint64_t>(t.counter("steals"));
-    const auto steal_failures =
-        static_cast<std::uint64_t>(t.counter("steal_failures"));
-    const double imbalance = t.counter("imbalance");
-    const auto messages_sent =
-        static_cast<std::uint64_t>(t.counter("messages_sent"));
-    const auto claim_rounds =
-        static_cast<std::uint64_t>(t.counter("claim_rounds"));
-    const auto bytes_on_wire =
-        static_cast<std::uint64_t>(t.counter("bytes_on_wire"));
-    const double barrier_wait_s = t.counter("barrier_wait_s");
-    const char* transport = dist::transport_name(combo.transport);
-    scaling.add_row({std::to_string(threads), steal ? "on" : "off",
-                     std::to_string(combo.shards), transport,
-                     fmt_double(seconds, 3), fmt_double(speedup, 2),
-                     fmt_double(replication_factor(g_large, part), 3),
-                     std::to_string(steals), std::to_string(steal_failures),
-                     fmt_double(imbalance, 3), std::to_string(messages_sent),
-                     std::to_string(claim_rounds),
-                     fmt_double(static_cast<double>(bytes_on_wire) / 1.0e6, 2),
-                     fmt_double(barrier_wait_s, 3),
-                     identical ? "yes" : "NO"});
-    if (!first) json += ',';
-    first = false;
-    json += "{\"threads\":" + std::to_string(threads) +
-            ",\"steal\":" + (steal ? "true" : "false") +
-            ",\"shards\":" + std::to_string(combo.shards) +
-            ",\"transport\":\"" + transport + "\"" +
-            ",\"seconds\":" + fmt_double(seconds, 6) +
-            ",\"speedup\":" + fmt_double(speedup, 4) +
-            ",\"steals\":" + std::to_string(steals) +
-            ",\"steal_failures\":" + std::to_string(steal_failures) +
-            ",\"imbalance\":" + fmt_double(imbalance, 4) +
-            ",\"messages_sent\":" + std::to_string(messages_sent) +
-            ",\"claim_rounds\":" + std::to_string(claim_rounds) +
-            ",\"bytes_on_wire\":" + std::to_string(bytes_on_wire) +
-            ",\"barrier_wait_s\":" + fmt_double(barrier_wait_s, 6) +
-            ",\"identical\":" + (identical ? "true" : "false") + "}";
-    if (!identical) {
-      std::cerr << "FATAL: " << threads << "-thread (steal "
-                << (steal ? "on" : "off") << ", " << combo.shards
-                << " shards, " << transport
-                << ") result differs from 1-thread baseline\n";
-      return 1;
-    }
-    std::cout.flush();
   }
   json += "]}";
   scaling.print(std::cout);

@@ -204,18 +204,8 @@ void register_builtin_partitioners() {
     register_partitioner("window_tlp", [] {
       return std::make_unique<stream::WindowTlpPartitioner>();
     });
-    // TLP_SHARDS engages the sharded claim protocol from tools that only
-    // speak registry names (the CLI's transport byte-compare leg in
-    // tools/check.sh); the transport itself then resolves through
-    // TLP_TRANSPORT inside multi_tlp. Sharding is byte-identity-preserving,
-    // so results are comparable with the unsharded default.
     register_partitioner("multi_tlp", [] {
-      MultiTlpOptions options;
-      if (const char* env = std::getenv("TLP_SHARDS")) {
-        options.num_shards =
-            static_cast<std::uint32_t>(std::stoul(env));
-      }
-      return std::make_unique<MultiTlpPartitioner>(options);
+      return std::make_unique<MultiTlpPartitioner>();
     });
     register_partitioner("2ps", [] {
       return std::make_unique<baselines::TwoPhaseStreamingPartitioner>();

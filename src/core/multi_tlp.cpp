@@ -5,21 +5,14 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <numeric>
-#include <optional>
 #include <random>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
-#include "dist/claim_protocol.hpp"
-#include "dist/socket_fabric.hpp"
-#include "dist/transport.hpp"
 #include "graph/intersect_kernels.hpp"
 #include "partition/replica_set.hpp"
 #include "partition/spill.hpp"
@@ -44,8 +37,7 @@ class MultiRun {
         ctx_(ctx),
         pool_(pool),
         num_workers_(num_workers),
-        residual_(g, ctx.arena(),
-                  std::max<std::uint32_t>(1, options.num_shards)),
+        residual_(g, ctx.arena()),
         partition_(config.num_partitions, g.num_edges()),
         member_(ctx.arena(), g.num_vertices(), config.num_partitions),
         touched_(ctx.arena().acquire<std::uint8_t>(g.num_vertices(), 0)),
@@ -94,15 +86,6 @@ class MultiRun {
     parts_.reserve(config.num_partitions);
     for (PartitionId k = 0; k < config.num_partitions; ++k) {
       parts_.emplace_back(ctx.child(num_workers_ + k).arena());
-    }
-    if (options.num_shards > 0) {
-      dist_.emplace(dist::resolve_transport(options.transport),
-                    options.num_shards, config.num_partitions);
-      if (options.comm_faults) {
-        // Faults target the claim leg only: the win channel is the
-        // protocol's own verdict, not a lossy link under test.
-        dist_->fabric->set_fault_plan(options.comm_faults);
-      }
     }
     if (steal_active()) {
       queues_.resize(num_workers_);
@@ -207,43 +190,6 @@ class MultiRun {
     /// worker-count-invariant (unlike everything above).
     std::uint64_t steals = 0;
     std::uint64_t steal_failures = 0;
-  };
-
-  /// Message-passing claim state (sharded mode only; docs/THREADING.md,
-  /// "Sharded claim protocol"). Ranks on the claim fabric are the S bitmap
-  /// shards, senders are the p partitions; the all-reduce runs over a
-  /// second single-rank fabric whose senders are the shards, so BOTH legs
-  /// of the round cross the selected transport. Per-shard scratch
-  /// (requests/wins) is plain vectors: shard s's slots are touched only by
-  /// the one thread resolving shard s in a round, and capacity is reused
-  /// across rounds.
-  struct DistState {
-    DistState(dist::Transport transport_kind, std::uint32_t num_shards,
-              PartitionId num_partitions)
-        : transport(transport_kind),
-          fabric(dist::make_fabric<dist::ClaimRequest>(transport_kind,
-                                                       num_shards,
-                                                       num_partitions)),
-          win_fabric(dist::make_fabric<dist::ClaimWin>(transport_kind, 1,
-                                                       num_shards)),
-          requests(num_shards),
-          wins(num_shards),
-          busy(num_shards, 0.0) {}
-
-    dist::Transport transport;
-    std::unique_ptr<dist::Fabric<dist::ClaimRequest>> fabric;
-    /// All-reduce channel: every shard sends its winner vector to rank 0;
-    /// the ascending-sender collect sweep IS the ordered concatenation.
-    std::unique_ptr<dist::Fabric<dist::ClaimWin>> win_fabric;
-    std::vector<std::vector<dist::ClaimRequest>> requests;
-    std::vector<std::vector<dist::ClaimWin>> wins;
-    /// The round's all-reduced global verdict.
-    std::vector<dist::ClaimWin> combined;
-    /// Whole-run wall-clock resolution seconds per shard (telemetry).
-    std::vector<double> busy;
-    std::uint64_t claim_rounds = 0;
-    /// All-reduce contributions (one message per shard per round).
-    std::uint64_t allreduce_messages = 0;
   };
 
   [[nodiscard]] bool steal_active() const {
@@ -422,86 +368,11 @@ class MultiRun {
       // The far endpoint is a pre-step member of k — or v itself for a
       // self-loop, which becomes internal the moment v joins.
       if (nb.vertex != v && !member_.contains(nb.vertex, k)) continue;
-      if (dist_) {
-        // Sharded mode: no shared word to CAS — ask the owning shard.
-        // Partition k is the sender, so the lane is sender-serial no
-        // matter which worker runs this task.
-        dist_->fabric->send(k, residual_.shard_map().owner(nb.edge),
-                            dist::ClaimRequest{nb.edge, k});
-      } else if (residual_.try_claim(nb.edge)) {
+      if (residual_.try_claim(nb.edge)) {
         epoch_[nb.edge] = step_;
       }
       part.attempts->push_back(nb.edge);
     }
-  }
-
-  /// Sharded-mode claim round (serial barrier side, shard resolution
-  /// fanned out over the pool): every shard collects its inbox, computes
-  /// its winner vector (lowest requesting partition id per still-free
-  /// edge; dist/claim_protocol.hpp) and marks the wins in its own bitmap
-  /// shard; the per-shard vectors are then all-reduced (ordered
-  /// concatenation) into the round's global verdict, which lands in
-  /// commit_mark_/claimant_ for the canonical scan. Winner = min over
-  /// requesters is exactly what the shared-memory serial scan computes, so
-  /// the two modes commit identical edges to identical partitions.
-  void resolve_claims_dist() {
-    DistState& d = *dist_;
-    ++d.claim_rounds;
-    const std::uint32_t num_shards = residual_.shard_map().num_shards();
-    // Barrier phase 1: every sender is done (the propose phase joined), so
-    // the round ends — on the socket transport this broadcasts the ARRIVE
-    // marker that trails the round's data frames down every stream.
-    d.fabric->end_round();
-    const auto resolve_one = [&](std::uint32_t s) {
-      const auto start = std::chrono::steady_clock::now();
-      d.fabric->collect(s, d.requests[s]);
-      dist::resolve_shard_claims(
-          d.requests[s], [&](EdgeId e) { return residual_.is_assigned(e); },
-          d.wins[s]);
-      for (const dist::ClaimWin& win : d.wins[s]) {
-        // This thread is the shard's only writer this round, and the win
-        // list holds distinct free edges — the bit must be fresh.
-        const bool fresh = residual_.claim_owned(win.edge);
-        assert(fresh);
-        (void)fresh;
-      }
-      d.busy[s] += std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-    };
-    if (pool_ == nullptr) {
-      for (std::uint32_t s = 0; s < num_shards; ++s) resolve_one(s);
-    } else {
-      pool_->run_strided(num_shards, [&](std::size_t /*worker*/,
-                                         std::size_t s) {
-        resolve_one(static_cast<std::uint32_t>(s));
-      });
-    }
-    // collect() never throws (it may run on pool workers, just above);
-    // wire failures are surfaced here, serially, before the verdict is
-    // trusted.
-    d.fabric->raise_pending_error();
-    // All-reduce over the win channel: shard s sends its winner vector on
-    // lane s to rank 0, serially in ascending shard order; the collect
-    // sweep (ascending sender, FIFO per lane) reproduces the ordered
-    // concatenation the tree fold used to compute, bit for bit.
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      for (const dist::ClaimWin& win : d.wins[s]) {
-        d.win_fabric->send(s, 0, win);
-      }
-    }
-    d.allreduce_messages += num_shards;
-    d.win_fabric->end_round();
-    d.win_fabric->collect(0, d.combined);
-    d.win_fabric->raise_pending_error();
-    d.win_fabric->clear_all_inboxes();
-    for (const dist::ClaimWin& win : d.combined) {
-      commit_mark_[win.edge] = step_;
-      claimant_[win.edge] = win.winner;
-    }
-    // Barrier phase 2: release the round (socket: broadcast RELEASE and
-    // advance the round counter) and reset the staging inboxes.
-    d.fabric->clear_all_inboxes();
   }
 
   /// Super-step barrier (serial): seed dedup, deterministic claim
@@ -534,61 +405,26 @@ class MultiRun {
     }
     if (!progressed) return false;
 
-    // Claim resolution. Both modes end with the same canonical event
-    // order (ascending partition id, attempts order within a partition)
-    // and the same winner rule, which is what keeps them bit-identical.
+    // Claim resolution: scan surviving proposals in ascending partition-id
+    // order. The first claimant of an edge whose epoch says "claimed this
+    // step" is the lowest id and wins — independent of which thread won
+    // the phase-A CAS. Attempts on edges assigned in earlier steps are
+    // stale and dropped.
     events_->clear();
-    if (dist_) {
-      // Sharded mode: the shards already decided this round's winners
-      // (min requesting partition id per free edge) and the all-reduce
-      // stamped them into commit_mark_/claimant_; the scan just classifies
-      // each surviving attempt against that verdict.
-      resolve_claims_dist();
-      for (PartitionId k = 0; k < p; ++k) {
-        if (parts_[k].proposal == kInvalidVertex) continue;
-        for (const EdgeId e : *parts_[k].attempts) {
-          if (commit_mark_[e] == step_) {
-            if (claimant_[e] == k) {
-              events_->push_back(e);
-            } else {
-              ++totals_.claim_conflicts;
-            }
-          } else if (residual_.is_assigned(e)) {
-            ++totals_.stale_claims;
-          } else {
-            // Neither granted this round nor previously assigned: the
-            // claim request never reached its shard (possible only under
-            // the fault-injection hook or a genuinely lossy link). Fail
-            // loudly — and with the lossy lane's coordinates — rather than
-            // let the edge silently fall out of the protocol.
-            const std::size_t owner = residual_.shard_map().owner(e);
-            throw dist::ClaimDivergedError(
-                "multi_tlp", k, owner, e,
-                dist_->fabric->lane_sequence(k, owner));
-          }
+    for (PartitionId k = 0; k < p; ++k) {
+      if (parts_[k].proposal == kInvalidVertex) continue;
+      for (const EdgeId e : *parts_[k].attempts) {
+        if (epoch_[e] != step_) {
+          ++totals_.stale_claims;
+          continue;
         }
-      }
-    } else {
-      // Shared-memory mode: scan surviving proposals in ascending
-      // partition-id order. The first claimant of an edge whose epoch says
-      // "claimed this step" is the lowest id and wins — independent of
-      // which thread won the phase-A CAS. Attempts on edges assigned in
-      // earlier steps are stale and dropped.
-      for (PartitionId k = 0; k < p; ++k) {
-        if (parts_[k].proposal == kInvalidVertex) continue;
-        for (const EdgeId e : *parts_[k].attempts) {
-          if (epoch_[e] != step_) {
-            ++totals_.stale_claims;
-            continue;
-          }
-          if (commit_mark_[e] == step_) {
-            ++totals_.claim_conflicts;
-            continue;
-          }
-          commit_mark_[e] = step_;
-          claimant_[e] = k;
-          events_->push_back(e);
+        if (commit_mark_[e] == step_) {
+          ++totals_.claim_conflicts;
+          continue;
         }
+        commit_mark_[e] = step_;
+        claimant_[e] = k;
+        events_->push_back(e);
       }
     }
 
@@ -877,46 +713,6 @@ class MultiRun {
       if (mean > 0.0) imbalance = busiest / mean;
     }
     t.set("imbalance", imbalance);
-    // Sharded claim protocol telemetry (docs/THREADING.md). The keys are
-    // always present (0 in shared-memory mode) so consumers never branch on
-    // key existence; for a fixed shard count the counters are
-    // schedule-invariant, and only the shard_busy series (wall-clock) and
-    // `shards` itself may differ across shard counts.
-    t.set("shards",
-          dist_ ? static_cast<double>(residual_.shard_map().num_shards())
-                : 0.0);
-    t.add("messages_sent",
-          dist_ ? static_cast<double>(dist_->fabric->messages_sent() +
-                                      dist_->allreduce_messages)
-                : 0.0);
-    t.add("claim_rounds",
-          dist_ ? static_cast<double>(dist_->claim_rounds) : 0.0);
-    // Transport gauge + wire counters (docs/THREADING.md, "Network
-    // transport"): 0 = shared-memory claim path, 1 = in-process fabric,
-    // 2 = socketpair, 3 = localhost TCP. The wire counters sum both legs
-    // of the round (claim fabric + win channel); they are identically 0
-    // off the socket transports, and — like worker_busy — barrier_wait_s
-    // is wall-clock and free to vary across runs.
-    t.set("transport",
-          dist_ ? 1.0 + static_cast<double>(dist_->transport) : 0.0);
-    dist::TransportTelemetry wire;
-    if (dist_) {
-      const dist::TransportTelemetry claim = dist_->fabric->wire_telemetry();
-      const dist::TransportTelemetry win = dist_->win_fabric->wire_telemetry();
-      wire.bytes_on_wire = claim.bytes_on_wire + win.bytes_on_wire;
-      wire.frames_sent = claim.frames_sent + win.frames_sent;
-      wire.backpressure_stalls =
-          claim.backpressure_stalls + win.backpressure_stalls;
-      wire.barrier_wait_s = claim.barrier_wait_s + win.barrier_wait_s;
-    }
-    t.add("bytes_on_wire", static_cast<double>(wire.bytes_on_wire));
-    t.add("frames_sent", static_cast<double>(wire.frames_sent));
-    t.add("backpressure_stalls",
-          static_cast<double>(wire.backpressure_stalls));
-    t.add("barrier_wait_s", wire.barrier_wait_s);
-    if (dist_) {
-      for (const double b : dist_->busy) t.append("shard_busy", b);
-    }
     t.set_max("peak_frontier", static_cast<double>(peak_frontier));
     t.set_max("peak_members", static_cast<double>(totals_.peak_members));
   }
@@ -950,8 +746,6 @@ class MultiRun {
   /// refilled with worker w's owned partitions at the top of each phase.
   std::vector<StealQueue> queues_;
   std::vector<StealStats> steal_stats_;  ///< per-phase scratch
-  /// Message-passing claim state; engaged iff options.num_shards > 0.
-  std::optional<DistState> dist_;
   /// Wall-clock busy seconds per worker: whole run / current super-step.
   std::vector<double> busy_;
   std::vector<double> step_busy_;

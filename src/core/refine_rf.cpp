@@ -2,7 +2,6 @@
 
 #include "refine/engine.hpp"
 #include "refine/move_state.hpp"
-#include "refine/parallel_mover.hpp"
 
 namespace tlp {
 
@@ -52,37 +51,13 @@ RefineResult refine_partition(const Graph& g, EdgePartition& partition,
       engine_options.balance_slack = options.balance_slack;
       engine_options.escape_budget = options.escape_budget;
       const refine::EngineStats stats =
-          refine::refine_gain(g, partition, engine_options, ctx.arena());
+          refine::refine_gain(g, partition, engine_options, ctx);
       result.moves = stats.moves;
       result.replicas_removed = stats.replicas_removed;
       result.passes = stats.passes;
       result.escape_moves = stats.escape_moves;
       result.rollbacks = stats.rollbacks;
       result.heap_rebuilds = stats.heap_rebuilds;
-      break;
-    }
-    case RefineEngine::kParallel: {
-      refine::ParallelOptions parallel_options;
-      parallel_options.balance_slack = options.balance_slack;
-      parallel_options.num_threads = options.num_threads;
-      parallel_options.steal = options.steal;
-      parallel_options.num_shards = options.num_shards;
-      parallel_options.heap_shards = options.heap_shards;
-      parallel_options.proposals_per_shard = options.proposals_per_shard;
-      parallel_options.transport = options.transport;
-      const refine::ParallelStats stats =
-          refine::refine_parallel(g, partition, parallel_options, ctx);
-      result.moves = stats.moves;
-      result.replicas_removed = stats.replicas_removed;
-      result.passes = static_cast<int>(stats.rounds);
-      result.heap_rebuilds = stats.heap_rebuilds;
-      result.super_steps = stats.super_steps;
-      result.conflicts = stats.conflicts;
-      result.messages_sent = stats.messages_sent;
-      result.bytes_on_wire = stats.bytes_on_wire;
-      result.frames_sent = stats.frames_sent;
-      result.backpressure_stalls = stats.backpressure_stalls;
-      result.barrier_wait_s = stats.barrier_wait_s;
       break;
     }
   }
@@ -109,19 +84,6 @@ EdgePartition RefinedPartitioner::do_partition(const Graph& g,
   t.add("refine_escape_moves", static_cast<double>(refined.escape_moves));
   t.add("refine_rollbacks", static_cast<double>(refined.rollbacks));
   t.add("refine_heap_rebuilds", static_cast<double>(refined.heap_rebuilds));
-  t.add("refine_super_steps", static_cast<double>(refined.super_steps));
-  t.add("refine_move_conflicts", static_cast<double>(refined.conflicts));
-  t.add("refine_messages_sent",
-        static_cast<double>(refined.messages_sent));
-  // Wire counters from the socket transports (0 on the in-process fabric
-  // and in shared-memory mode); always present so consumers never branch
-  // on key existence.
-  t.add("refine_bytes_on_wire",
-        static_cast<double>(refined.bytes_on_wire));
-  t.add("refine_frames_sent", static_cast<double>(refined.frames_sent));
-  t.add("refine_backpressure_stalls",
-        static_cast<double>(refined.backpressure_stalls));
-  t.add("refine_barrier_wait_s", refined.barrier_wait_s);
   return result;
 }
 

@@ -4,15 +4,12 @@
 //
 // The paper's TLP has no refinement stage (partitions are frozen once
 // grown); this extension quantifies how much a local-search pass can still
-// recover. Three engines share the gain model and balance ceiling
+// recover. Two engines share the gain model and balance ceiling
 // (src/refine/move_state.hpp, docs/REFINEMENT.md):
 //
 //   kGainHeap  — the default: KL/FM-style gain-heap hill-climbing with
 //                bounded negative-gain escape moves and rollback-to-best
 //                (refine/engine.hpp).
-//   kParallel  — the BSP mover: concurrent positive-gain moves in
-//                super-steps, bit-identical across worker counts
-//                (refine/parallel_mover.hpp).
 //   kGreedy    — the original ascending-edge-order sweep, kept as the
 //                differential ORACLE: same gain function and cap, no
 //                ordering, no escapes (refine_replication below).
@@ -20,11 +17,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "dist/transport.hpp"
 #include "partition/edge_partition.hpp"
 #include "partition/partitioner.hpp"
 
@@ -33,14 +28,11 @@ namespace tlp {
 enum class RefineEngine {
   kGainHeap,  ///< serial gain-heap engine with escapes (the default)
   kGreedy,    ///< ascending-edge-order sweep (the differential oracle)
-  kParallel,  ///< BSP parallel mover (positive-gain moves only)
 };
 
 struct RefineOptions {
   RefineEngine engine = RefineEngine::kGainHeap;
-  /// Maximum passes. For kGreedy/kGainHeap a pass is one full sweep /
-  /// reindex; kParallel instead runs rebuild rounds to quiescence and
-  /// ignores this knob.
+  /// Maximum passes: one full sweep (kGreedy) or reindex (kGainHeap) each.
   int max_passes = 4;
   /// Load ceiling as a multiple of m/p; moves never push a partition above
   /// it (and never move INTO a partition already above it).
@@ -48,41 +40,17 @@ struct RefineOptions {
   /// kGainHeap only: max CONSECUTIVE non-positive-gain moves per pass
   /// (0 = pure hill-climbing). See refine/engine.hpp.
   std::uint32_t escape_budget = 32;
-  /// kParallel only: worker threads (1 = inline, 0 = hardware), work
-  /// stealing, claim transport, heap shards, proposals per barrier. All
-  /// schedule knobs are bit-identity-preserving; heap_shards and
-  /// proposals_per_shard are part of the algorithm. See
-  /// refine/parallel_mover.hpp.
-  std::size_t num_threads = 1;
-  bool steal = true;
-  std::uint32_t num_shards = 0;
-  std::uint32_t heap_shards = 8;
-  std::uint32_t proposals_per_shard = 4;
-  /// kParallel + num_shards >= 1 only: transport backing the claim fabric.
-  /// Unset resolves through TLP_TRANSPORT, then the in-process fabric;
-  /// moves are byte-identical across transports (dist/transport.hpp).
-  std::optional<dist::Transport> transport;
 };
 
 struct RefineResult {
   std::size_t moves = 0;             ///< edges migrated (surviving rollback)
   std::size_t replicas_removed = 0;  ///< net replica reduction (>= 0)
-  int passes = 0;                    ///< sweeps / passes / rebuild rounds
+  int passes = 0;                    ///< sweeps / passes
   /// kGainHeap: applied escape moves and rollback events (0 elsewhere).
   std::size_t escape_moves = 0;
   std::size_t rollbacks = 0;
-  /// kGainHeap/kParallel: full reindexes + heap compactions (0 for greedy).
+  /// kGainHeap: full reindexes + heap compactions (0 for greedy).
   std::size_t heap_rebuilds = 0;
-  /// kParallel only: BSP super-steps, barrier conflicts, claim messages.
-  std::size_t super_steps = 0;
-  std::size_t conflicts = 0;
-  std::uint64_t messages_sent = 0;
-  /// kParallel on a socket transport only (0 elsewhere): wire counters
-  /// summed over both fabric legs.
-  std::uint64_t bytes_on_wire = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t backpressure_stalls = 0;
-  double barrier_wait_s = 0.0;
 };
 
 /// The greedy oracle: ascending-edge-order sweeps applying every strictly
@@ -94,7 +62,8 @@ RefineResult refine_replication(const Graph& g, EdgePartition& partition,
                                 const RefineOptions& options = {});
 
 /// Dispatches to the engine selected in `options`; scratch comes from ctx
-/// for kGainHeap/kParallel (kGreedy owns its own).
+/// for kGainHeap (kGreedy owns its own). kGainHeap polls ctx's cancel
+/// token and throws RunCancelled when it fires (see refine/engine.hpp).
 RefineResult refine_partition(const Graph& g, EdgePartition& partition,
                               const RefineOptions& options, RunContext& ctx);
 

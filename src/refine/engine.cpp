@@ -10,6 +10,10 @@
 namespace tlp::refine {
 namespace {
 
+/// Heap pops between two cancel-token polls inside a pass (a poll reads
+/// the clock when a deadline is set, so it stays off the per-pop path).
+constexpr std::size_t kCancelPollPops = 4096;
+
 /// One applied move, logged for rollback.
 struct MoveRecord {
   EdgeId edge;
@@ -21,13 +25,14 @@ struct MoveRecord {
 class SerialRun {
  public:
   SerialRun(const Graph& g, EdgePartition& partition,
-            const EngineOptions& options, ScratchArena& arena)
+            const EngineOptions& options, RunContext& ctx)
       : g_(g),
         partition_(partition),
         options_(options),
-        state_(g, partition, arena),
-        heap_(arena, g.num_edges()),
-        locked_(arena.acquire<std::uint32_t>(g.num_edges(), 0)),
+        ctx_(ctx),
+        state_(g, partition, ctx.arena()),
+        heap_(ctx.arena(), g.num_edges()),
+        locked_(ctx.arena().acquire<std::uint32_t>(g.num_edges(), 0)),
         cap_(MoveState::cap_for(g.num_edges(), partition.num_partitions(),
                                 options.balance_slack)),
         floor_(MoveState::floor_for(g.num_edges(), partition.num_partitions(),
@@ -37,6 +42,7 @@ class SerialRun {
     EngineStats stats;
     if (partition_.num_partitions() < 2 || g_.num_edges() == 0) return stats;
     for (int pass = 1; pass <= options_.max_passes; ++pass) {
+      ctx_.check_cancelled();
       ++stats.passes;
       const std::size_t survived = run_pass(static_cast<std::uint32_t>(pass),
                                             stats);
@@ -88,7 +94,8 @@ class SerialRun {
     std::size_t best_len = 0;
     std::uint32_t escape_run = 0;
 
-    for (;;) {
+    for (std::size_t pops = 1;; ++pops) {
+      if (pops % kCancelPollPops == 0) ctx_.check_cancelled();
       const GainHeap::Top top = heap_.pop_best();
       if (top.id == kInvalidEdge) break;
       const EdgeId e = top.id;
@@ -146,6 +153,7 @@ class SerialRun {
   const Graph& g_;
   EdgePartition& partition_;
   const EngineOptions& options_;
+  const RunContext& ctx_;
   MoveState state_;
   GainHeap heap_;
   /// Pass id in which each edge was moved (0 = never); an edge locked by
@@ -159,15 +167,15 @@ class SerialRun {
 }  // namespace
 
 EngineStats refine_gain(const Graph& g, EdgePartition& partition,
-                        const EngineOptions& options, ScratchArena& arena) {
-  SerialRun run(g, partition, options, arena);
+                        const EngineOptions& options, RunContext& ctx) {
+  SerialRun run(g, partition, options, ctx);
   return run.run();
 }
 
 EngineStats refine_gain(const Graph& g, EdgePartition& partition,
                         const EngineOptions& options) {
-  ScratchArena arena;
-  return refine_gain(g, partition, options, arena);
+  RunContext ctx;
+  return refine_gain(g, partition, options, ctx);
 }
 
 }  // namespace tlp::refine

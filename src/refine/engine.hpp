@@ -29,9 +29,15 @@
 // balance for the hope of RF.
 //
 // The engine is strictly serial and deterministic: a pure function of
-// (graph, partition, options). refine/parallel_mover.hpp is the BSP
-// variant for throughput; core/refine_rf.cpp's greedy pass is the
+// (graph, partition, options). core/refine_rf.cpp's greedy pass is the
 // differential oracle (same gain model, no ordering, no escapes).
+//
+// The run polls the RunContext's cancel token at the start of every pass
+// and every 4096 heap pops, and throws RunCancelled when a stop was
+// requested or the deadline passed. Every applied move is a plain
+// reassignment, so the partition left behind is still complete and in
+// range (validate() passes), just not rolled back to the pass's best
+// prefix.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +73,12 @@ struct EngineStats {
 };
 
 /// Refines `partition` in place with the gain-heap engine; scratch comes
-/// from `arena`. The result is complete/in-range if the input was.
+/// from ctx's arena, and ctx's cancel token is polled (see above). The
+/// result is complete/in-range if the input was.
 EngineStats refine_gain(const Graph& g, EdgePartition& partition,
-                        const EngineOptions& options, ScratchArena& arena);
+                        const EngineOptions& options, RunContext& ctx);
 
-/// Convenience overload owning a private arena (tests, one-shot callers).
+/// Convenience overload owning a private context (tests, one-shot callers).
 EngineStats refine_gain(const Graph& g, EdgePartition& partition,
                         const EngineOptions& options = {});
 

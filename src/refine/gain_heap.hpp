@@ -13,12 +13,11 @@
 //
 // Determinism contract: pop_best() returns the highest current gain;
 // within a gain bucket the MOST RECENTLY pushed live entry wins (LIFO).
-// Both engines rely on this being a pure function of the update/pop
+// The engine relies on this being a pure function of the update/pop
 // history, never of wall-clock or thread schedule.
 //
-// Ids are caller-defined indices in [0, capacity) — global EdgeIds for the
-// serial engine, shard-local indices (e / H) for the parallel mover's
-// per-shard heaps. All storage is arena-leased.
+// Ids are caller-defined indices in [0, capacity) — EdgeIds for the
+// engine. All storage is arena-leased.
 #pragma once
 
 #include <array>

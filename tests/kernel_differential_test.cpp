@@ -105,8 +105,8 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
   KernelGuard guard;
   PartitionConfig config;
   config.num_partitions = 8;
-  // Scalar single-thread shared-memory in-memory run is the reference for
-  // the ENTIRE matrix.
+  // Scalar single-thread in-memory run is the reference for the ENTIRE
+  // matrix.
   ASSERT_TRUE(intersect::set_active(Kernel::kScalar));
   const EdgePartition expected =
       MultiTlpPartitioner{}.partition(reference(), config);
@@ -121,23 +121,17 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
       for (const bool steal : {true, false}) {
-        for (const std::uint32_t shards : {0u, 4u}) {
-          MultiTlpOptions mo;
-          mo.num_threads = threads;
-          mo.steal = steal;
-          mo.num_shards = shards;
-          const MultiTlpPartitioner partitioner{mo};
-          for (const auto& [label, options] : tiers) {
-            SCOPED_TRACE("kernel=" +
-                         std::string(intersect::kernel_name(k)) +
-                         " threads=" + std::to_string(threads) +
-                         " steal=" + (steal ? "on" : "off") +
-                         " shards=" + std::to_string(shards) + " tier=" +
-                         label);
-            const Graph tiered = io::load_csr_file(csr_path(), options);
-            EXPECT_EQ(partitioner.partition(tiered, config).raw(),
-                      expected.raw());
-          }
+        MultiTlpOptions mo;
+        mo.num_threads = threads;
+        mo.steal = steal;
+        const MultiTlpPartitioner partitioner{mo};
+        for (const auto& [label, options] : tiers) {
+          SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
+                       " threads=" + std::to_string(threads) +
+                       " steal=" + (steal ? "on" : "off") + " tier=" + label);
+          const Graph tiered = io::load_csr_file(csr_path(), options);
+          EXPECT_EQ(partitioner.partition(tiered, config).raw(),
+                    expected.raw());
         }
       }
     }

@@ -41,20 +41,15 @@ TEST(MultiTlp, CompleteAndInRangeOnVariousGraphs) {
   }
 }
 
-// Strips the telemetry keys that are allowed to vary with the schedule or
-// the claim-state topology: the resolved worker count, the work-stealing
-// scheduler's wall-clock instrumentation, and the sharded claim protocol's
-// transport accounting (docs/THREADING.md). Every OTHER counter/series
-// must be bit-identical across worker counts, steal settings AND shard
-// counts.
+// Strips the telemetry keys that are allowed to vary with the schedule:
+// the resolved worker count and the work-stealing scheduler's wall-clock
+// instrumentation (docs/THREADING.md). Every OTHER counter/series must be
+// bit-identical across worker counts and steal settings.
 std::map<std::string, double, std::less<>> scheduler_invariant_counters(
     const RunContext& ctx) {
   auto c = ctx.telemetry().counters();
   for (const char* key :
-       {"threads", "runs", "steal", "steals", "steal_failures", "imbalance",
-        "shards", "messages_sent", "claim_rounds", "transport",
-        "bytes_on_wire", "frames_sent", "barrier_wait_s",
-        "backpressure_stalls"}) {
+       {"threads", "runs", "steal", "steals", "steal_failures", "imbalance"}) {
     c.erase(key);
   }
   return c;
@@ -64,7 +59,6 @@ std::map<std::string, std::vector<double>, std::less<>>
 scheduler_invariant_series(const RunContext& ctx) {
   auto s = ctx.telemetry().all_series();
   s.erase("worker_busy");  // wall-clock, W entries per super-step
-  s.erase("shard_busy");   // wall-clock, S entries, sharded mode only
   return s;
 }
 
@@ -262,203 +256,6 @@ TEST(MultiTlp, StealReducesImbalanceOnSkewedPartitionSizes) {
   // schedule was already essentially flat (within 2% of perfect), where
   // measurement noise dominates.
   EXPECT_LT(imbalance_on, std::max(imbalance_off, 1.02));
-}
-
-// ---------------------------------------------------------------------
-// Sharded claim protocol (MultiTlpOptions::num_shards; docs/THREADING.md,
-// "Sharded claim protocol"). The contract: the message-passing execution
-// mode is byte-identical to the shared-memory path for EVERY combination
-// of shard count, worker count and steal setting, and the fault-injection
-// hook can only repeat/permute (harmless) or lose (loud failure) claim
-// requests — never silently change the result.
-
-// The 30-second smoke run in tools/check.sh's fast leg: smallest fixture,
-// S in {1, 4}, versus the shared-memory baseline. Referenced by name from
-// check.sh — keep the test name stable.
-TEST(MultiTlpShard, SmokeInvariance) {
-  const Graph g = gen::caveman_graph(4, 5);
-  const auto config = config_for(3, 2);
-  RunContext base_ctx;
-  const EdgePartition base =
-      MultiTlpPartitioner{}.partition(g, config, base_ctx);
-  for (const std::uint32_t shards : {1u, 4u}) {
-    MultiTlpOptions o;
-    o.num_shards = shards;
-    RunContext ctx;
-    const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config, ctx);
-    EXPECT_EQ(part.raw(), base.raw()) << shards << " shards";
-    EXPECT_EQ(scheduler_invariant_counters(ctx),
-              scheduler_invariant_counters(base_ctx))
-        << shards << " shards";
-    EXPECT_EQ(ctx.telemetry().counter("shards"),
-              static_cast<double>(shards));
-    EXPECT_GT(ctx.telemetry().counter("claim_rounds"), 0.0);
-  }
-  EXPECT_EQ(base_ctx.telemetry().counter("shards"), 0.0);
-  EXPECT_EQ(base_ctx.telemetry().counter("messages_sent"), 0.0);
-}
-
-// The tentpole differential suite: shard counts (1 = everything on one
-// rank, 2, 7 = coprime with most structure, 64 > any frontier batch) ×
-// worker counts × steal, on a skewed power-law graph and a community
-// graph, all against the num_shards = 0 shared-memory baseline.
-TEST(MultiTlpShard, BitIdenticalAcrossShardCountsThreadsAndSteal) {
-  const std::vector<Graph> graphs = {
-      gen::chung_lu_power_law(500, 3000, 2.3, 23),
-      gen::sbm(400, 2600, 8, 0.85, 31)};
-  for (const Graph& g : graphs) {
-    const auto config = config_for(6, 13);
-    RunContext base_ctx;
-    const EdgePartition base =
-        MultiTlpPartitioner{}.partition(g, config, base_ctx);
-    for (const std::uint32_t shards : {1u, 2u, 7u, 64u}) {
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        for (const bool steal : {false, true}) {
-          MultiTlpOptions o;
-          o.num_shards = shards;
-          o.num_threads = threads;
-          o.steal = steal;
-          RunContext ctx;
-          const EdgePartition part =
-              MultiTlpPartitioner{o}.partition(g, config, ctx);
-          EXPECT_EQ(part.raw(), base.raw())
-              << g.summary() << ": " << shards << " shards, " << threads
-              << " threads, steal " << steal;
-          EXPECT_EQ(scheduler_invariant_counters(ctx),
-                    scheduler_invariant_counters(base_ctx))
-              << g.summary() << ": " << shards << " shards, " << threads
-              << " threads, steal " << steal;
-          EXPECT_EQ(scheduler_invariant_series(ctx),
-                    scheduler_invariant_series(base_ctx))
-              << g.summary() << ": " << shards << " shards, " << threads
-              << " threads, steal " << steal;
-        }
-      }
-    }
-  }
-}
-
-TEST(MultiTlpShard, HardwareThreadsShardedMatchesShared) {
-  const Graph g = gen::barabasi_albert(300, 4, 19);
-  const auto config = config_for(6, 5);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  MultiTlpOptions o;
-  o.num_shards = 4;
-  o.num_threads = 0;  // hardware_concurrency, capped at p
-  const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-  EXPECT_EQ(part.raw(), base.raw());
-}
-
-// For a FIXED shard count the transport accounting is part of the
-// deterministic protocol, not the schedule: every (threads × steal)
-// combination sends the same messages in the same rounds.
-TEST(MultiTlpShard, MessageCountsAreScheduleInvariant) {
-  const Graph g = gen::erdos_renyi(250, 1100, 29);
-  const auto config = config_for(5, 3);
-  std::vector<std::pair<double, double>> observed;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const bool steal : {false, true}) {
-      MultiTlpOptions o;
-      o.num_shards = 4;
-      o.num_threads = threads;
-      o.steal = steal;
-      RunContext ctx;
-      (void)MultiTlpPartitioner{o}.partition(g, config, ctx);
-      observed.emplace_back(ctx.telemetry().counter("messages_sent"),
-                            ctx.telemetry().counter("claim_rounds"));
-    }
-  }
-  ASSERT_FALSE(observed.empty());
-  EXPECT_GT(observed.front().first, 0.0);
-  EXPECT_GT(observed.front().second, 0.0);
-  for (const auto& [messages, rounds] : observed) {
-    EXPECT_EQ(messages, observed.front().first);
-    EXPECT_EQ(rounds, observed.front().second);
-  }
-}
-
-TEST(MultiTlpShard, ShardCountExceedingEdgeCountWorks) {
-  const Graph g = gen::caveman_graph(3, 4);  // few edges, S = 64 shards
-  const auto config = config_for(2, 9);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  MultiTlpOptions o;
-  o.num_shards = 64;
-  const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-  EXPECT_EQ(part.raw(), base.raw());
-}
-
-// Duplicated claim requests are idempotent: min over a multiset ignores
-// repeats, so a dup-heavy fabric must still produce the baseline bytes.
-TEST(MultiTlpShard, DuplicatedMessagesKeepBytesIdentical) {
-  const Graph g = gen::sbm(300, 1800, 6, 0.85, 41);
-  const auto config = config_for(6, 17);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  for (const std::size_t threads : {1u, 4u}) {
-    MultiTlpOptions o;
-    o.num_shards = 7;
-    o.num_threads = threads;
-    o.comm_faults = dist::FaultPlan{};
-    o.comm_faults->seed = 77;
-    o.comm_faults->dup_permille = 400;
-    const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-    EXPECT_EQ(part.raw(), base.raw()) << threads << " threads";
-  }
-}
-
-// Reordered delivery is invisible: resolution canonically sorts each
-// shard's batch, so any per-lane permutation produces the baseline bytes.
-TEST(MultiTlpShard, ReorderedMessagesKeepBytesIdentical) {
-  const Graph g = gen::chung_lu_power_law(300, 1700, 2.4, 43);
-  const auto config = config_for(5, 19);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  for (const std::size_t threads : {1u, 4u}) {
-    MultiTlpOptions o;
-    o.num_shards = 7;
-    o.num_threads = threads;
-    o.comm_faults = dist::FaultPlan{};
-    o.comm_faults->seed = 101;
-    o.comm_faults->reorder = true;
-    const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-    EXPECT_EQ(part.raw(), base.raw()) << threads << " threads";
-  }
-}
-
-// Dropping EVERY claim request must trip the commit scan's divergence
-// check the first time a partition attempts a real (non-self-loop) claim —
-// a lost request may never silently strand an edge.
-TEST(MultiTlpShard, DroppingAllMessagesFailsLoudly) {
-  const Graph g = gen::erdos_renyi(120, 500, 47);
-  const auto config = config_for(4, 23);
-  MultiTlpOptions o;
-  o.num_shards = 4;
-  o.comm_faults = dist::FaultPlan{};
-  o.comm_faults->drop_permille = 1000;
-  EXPECT_THROW((void)MultiTlpPartitioner{o}.partition(g, config),
-               std::runtime_error);
-}
-
-// At partial drop rates the run either completes with a VALID partition
-// (the lost requests merely shifted wins to the lowest surviving
-// requester) or throws the divergence error — silent corruption is the
-// one outcome the protocol forbids.
-TEST(MultiTlpShard, PartialDropsEitherThrowOrStayValid) {
-  const Graph g = gen::sbm(200, 1100, 4, 0.85, 53);
-  const auto config = config_for(4, 29);
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-    MultiTlpOptions o;
-    o.num_shards = 7;
-    o.comm_faults = dist::FaultPlan{};
-    o.comm_faults->seed = seed;
-    o.comm_faults->drop_permille = 100;
-    try {
-      const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-      EXPECT_TRUE(validate(g, part, config).ok()) << "fault seed " << seed;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("claim protocol diverged"),
-                std::string::npos)
-          << "fault seed " << seed << ": " << e.what();
-    }
-  }
 }
 
 TEST(MultiTlp, DisconnectedGraphFullyCovered) {

@@ -113,23 +113,19 @@ TEST_F(StorageDifferential, TlpAndResidualAcrossTiers) {
 TEST_F(StorageDifferential, MultiTlpThreadsShardsAcrossTiers) {
   PartitionConfig config;
   config.num_partitions = 8;
-  // Reference: shared-memory single thread on the in-memory graph.
+  // Reference: single thread on the in-memory graph.
   const EdgePartition expected =
       MultiTlpPartitioner{}.partition(reference(), config);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    for (const std::uint32_t shards : {0u, 4u}) {
-      MultiTlpOptions mo;
-      mo.num_threads = threads;
-      mo.num_shards = shards;
-      const MultiTlpPartitioner partitioner{mo};
-      for (const auto& [label, options] : tier_sweep(reference())) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " shards=" + std::to_string(shards) + " on " + label);
-        const Graph tiered = io::load_csr_file(csr_path(), options);
-        const EdgePartition actual = partitioner.partition(tiered, config);
-        EXPECT_EQ(actual.raw(), expected.raw());
-      }
+    MultiTlpOptions mo;
+    mo.num_threads = threads;
+    const MultiTlpPartitioner partitioner{mo};
+    for (const auto& [label, options] : tier_sweep(reference())) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " on " + label);
+      const Graph tiered = io::load_csr_file(csr_path(), options);
+      const EdgePartition actual = partitioner.partition(tiered, config);
+      EXPECT_EQ(actual.raw(), expected.raw());
     }
   }
 }

@@ -22,10 +22,7 @@
 # leg reruns the kernel differential suites through the TLP_KERNEL env path
 # (scalar and best vector) and byte-compares CLI partition outputs across
 # kernels; the nosimd leg builds with -DTLP_DISABLE_SIMD=ON and proves the
-# scalar-only configuration still passes the kernel and graph suites. The
-# transport legs force TLP_TRANSPORT=socket through the sharded-claim smoke
-# and byte-compare CLI partition outputs across transports (inproc vs
-# socket, with TLP_SHARDS engaging the claim fabric from the registry).
+# scalar-only configuration still passes the kernel and graph suites.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,30 +45,12 @@ run_suite() {
 # Tier-1: the roadmap's verify command.
 run_suite build
 
-# Shard-invariance smoke (~seconds): the sharded message-passing claim path
-# must reproduce the shared-memory bytes on the smallest fixture, S in
-# {1, 4}. The full differential sweep runs inside the tier-1 multi_tlp
-# suite; this explicit rerun keeps the contract visible in the fast leg.
-echo "== shard-invariance smoke (MultiTlpShard.SmokeInvariance) =="
-(cd build && ctest --output-on-failure -R 'MultiTlpShard.SmokeInvariance')
-
-# Refinement smoke (~seconds): the gain-heap unit suite, the differential
-# suite against the greedy oracle, and the parallel mover's bit-identity
-# sweep (threads x steal x claim shards), rerun by name so the refinement
-# contract stays visible in the fast leg. The same suites run in full as
-# part of the tier-1 ctest above.
-echo "== refinement smoke (GainHeap + RefineEngine + RefineParallel) =="
-(cd build && ctest --output-on-failure -R 'GainHeap|RefineEngine|RefineParallel')
-
-# Transport smoke (~seconds): the full conformance suite already ran inside
-# the tier-1 ctest above against every transport; this leg additionally
-# reruns the sharded-claim smoke with the environment knob forcing the
-# socket transport end-to-end — the path a user who sets TLP_TRANSPORT=socket
-# actually takes — and must reproduce the shared-memory bytes.
-echo "== transport smoke (TransportConformance + MultiTlpShard over sockets) =="
-(cd build && ctest --output-on-failure -R 'TransportConformance|SocketTransport')
-(cd build && TLP_TRANSPORT=socket ctest --output-on-failure \
-  -R 'MultiTlpShard.SmokeInvariance')
+# Refinement smoke (~seconds): the gain-heap unit suite and the
+# differential suite against the greedy oracle, rerun by name so the
+# refinement contract stays visible in the fast leg. The same suites run in
+# full as part of the tier-1 ctest above.
+echo "== refinement smoke (GainHeap + RefineEngine) =="
+(cd build && ctest --output-on-failure -R 'GainHeap|RefineEngine')
 
 if [ "${1:-}" = "--fast" ]; then
   echo "check.sh: tier-1 OK (sanitizers skipped)"
@@ -86,22 +65,19 @@ run_suite build-ubsan -DTLP_SANITIZE=undefined \
 
 # TSan: only the suites that actually spin up threads. The multi_tlp suite
 # includes cross-thread-count runs (2 and 8 workers) with stealing both on
-# and off plus the sharded claim protocol (per-partition mailbox lanes,
-# per-shard resolution fan-out, fault-injected fabrics), the dist_comm
-# suite posts to one fabric from concurrent senders, the steal_queue
-# suite hammers one deque from four thieves, and the refine_engine suite
-# runs the parallel BSP mover across worker counts with stealing on — so
-# claim/commit protocol races, mailbox lane races, steal-schedule races,
-# and refinement phase races all surface here.
+# and off and the steal_queue suite hammers one deque from four thieves,
+# so claim/commit races and steal-schedule races surface here. The serial
+# refine_engine suite rides along as a cheap guard on the shared arena and
+# telemetry code it uses.
 echo "== configure build-tsan (-DTLP_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DTLP_SANITIZE=thread \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target thread_pool_test multi_tlp_test steal_queue_test dist_comm_test \
-  refine_engine_test transport_conformance_test
-echo "== ctest build-tsan (MultiTlp|ThreadPool|StealQueue|Refine|dist|transport) =="
+  --target thread_pool_test multi_tlp_test steal_queue_test \
+  refine_engine_test
+echo "== ctest build-tsan (MultiTlp|ThreadPool|StealQueue|Refine) =="
 (cd build-tsan && ctest --output-on-failure \
-  -R 'MultiTlp|ThreadPool|StealQueue|StealSource|Mailbox|CommFabric|AllReduce|DistClaim|Refine|Transport|Socket')
+  -R 'MultiTlp|ThreadPool|StealQueue|StealSource|Refine')
 
 # Perf smoke: -O2 hot-path microbench on a small fixture. Exits nonzero if
 # the flat structures diverge from the embedded legacy baseline or the warm
@@ -113,9 +89,8 @@ echo "== perf smoke (hotpath_micro --smoke) =="
 (cd build-release/bench && ./hotpath_micro --smoke)
 
 # Refinement perf smoke: two graphs at quarter scale through the win-
-# condition table, the engine x base sweep, and the parallel bit-identity
-# spot check. Exits nonzero if tlp+refine loses an RF cell to any
-# registered baseline or the BSP mover's bytes diverge across threads.
+# condition table and the engine x base sweep. Exits nonzero if tlp+refine
+# loses an RF cell to any registered baseline.
 cmake --build build-release -j "$JOBS" --target refine_runtime
 echo "== perf smoke (refine_runtime --smoke) =="
 (cd build-release/bench && ./refine_runtime --smoke)
@@ -190,24 +165,6 @@ for ALGO in tlp multi_tlp; do
   echo "-- $ALGO: scalar and vector kernel outputs byte-identical"
 done
 
-# Transport matrix: whole-binary byte-compare, same recipe as the kernel
-# matrix. Partition the same graph through the CLI with the sharded claim
-# protocol (TLP_SHARDS) over the in-process fabric and over real sockets
-# (TLP_TRANSPORT) and cmp the .parts files — the wire must be
-# value-invisible end-to-end, not just inside the unit fixtures.
-echo "== transport matrix: CLI partition byte-compare (inproc vs socket) =="
-TM_DIR="build-release/transport-matrix"
-mkdir -p "$TM_DIR"
-for TRANSPORT in inproc socket; do
-  TLP_SHARDS=4 TLP_TRANSPORT=$TRANSPORT build-release/tools/tlp_cli \
-    partition "$KM_DIR/cl.tlpc" multi_tlp 8 0 \
-    "$TM_DIR/multi_tlp.$TRANSPORT.parts" > /dev/null 2>&1
-done
-cmp "$KM_DIR/multi_tlp.scalar.parts" "$TM_DIR/multi_tlp.inproc.parts"
-cmp "$TM_DIR/multi_tlp.inproc.parts" "$TM_DIR/multi_tlp.socket.parts"
-echo "-- multi_tlp: unsharded, sharded-inproc, and sharded-socket outputs" \
-     "byte-identical"
-
 # Scalar-only configuration: -DTLP_DISABLE_SIMD=ON compiles the vector
 # kernels out entirely; dispatch must resolve to scalar (whatever
 # TLP_KERNEL says) and the kernel + graph suites must still pass.
@@ -220,4 +177,4 @@ cmake --build build-nosimd -j "$JOBS" \
   -R 'IntersectKernels|IntersectionCost|KernelDifferential|Graph')
 
 echo "check.sh: tier-1 + ASan + UBSan + TSan + perf + out-of-core +" \
-     "kernel-matrix + transport-matrix + nosimd green"
+     "kernel-matrix + nosimd green"
