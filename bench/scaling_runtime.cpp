@@ -5,14 +5,13 @@
 // showing the practical near-linear behavior and the memory advantage over
 // METIS's O(n) global view.
 // A second sweep measures the parallel multi-partition growth
-// (core/multi_tlp.cpp): wall-clock per worker-thread count × steal on/off
-// on the largest DCSBM, with a bit-identity check against the 1-thread run
-// and the scheduler's steals / steal_failures / imbalance telemetry
-// (docs/THREADING.md), written to BENCH_scaling.json. Override the counts
-// with --threads=1,2,4 or the TLP_BENCH_THREADS environment knob. See
-// docs/BENCHMARKS.md for the JSON schema.
+// (core/multi_tlp.cpp): wall-clock per worker-thread count on the largest
+// DCSBM, with a bit-identity check against the 1-thread run and the
+// scheduler's imbalance telemetry (docs/THREADING.md), written to
+// BENCH_scaling.json. Override the counts with --threads=1,2,4 or the
+// TLP_BENCH_THREADS environment knob. See docs/BENCHMARKS.md for the JSON
+// schema.
 #include <chrono>
-#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -104,8 +103,8 @@ int main(int argc, char** argv) {
   PartitionConfig config;
   config.num_partitions = p;
 
-  Table scaling({"threads", "steal", "seconds", "speedup", "RF", "steals",
-                 "steal_fail", "imbalance", "identical"});
+  Table scaling({"threads", "seconds", "speedup", "RF", "imbalance",
+                 "identical"});
   std::vector<PartitionId> baseline;
   double baseline_seconds = 0.0;
   std::string json = "{\"bench\":\"scaling\",\"graph\":{\"n\":" +
@@ -113,61 +112,45 @@ int main(int argc, char** argv) {
                      ",\"m\":" + std::to_string(g_large.num_edges()) +
                      "},\"p\":" + std::to_string(p) + ",\"sweep\":[";
   bool first = true;
-  // The thread × steal sweep; 1 thread runs inline (no pool, no
-  // scheduler), so the steal A/B only exists for multi-threaded rows.
   // Every row must reproduce the first row's bytes.
   for (const std::size_t threads : thread_counts) {
-    for (const bool steal : threads == 1 ? std::vector<bool>{true}
-                                         : std::vector<bool>{false, true}) {
-      MultiTlpOptions options;
-      options.num_threads = threads;
-      options.steal = steal;
-      const MultiTlpPartitioner multi{options};
-      RunContext run_ctx;
-      const auto t0 = std::chrono::steady_clock::now();
-      const EdgePartition part = multi.partition(g_large, config, run_ctx);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double seconds = std::chrono::duration<double>(t1 - t0).count();
-      if (baseline.empty()) {
-        baseline = part.raw();
-        baseline_seconds = seconds;
-      }
-      const bool identical = part.raw() == baseline;
-      const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
-      const Telemetry& t = run_ctx.telemetry();
-      const auto steals = static_cast<std::uint64_t>(t.counter("steals"));
-      const auto steal_failures =
-          static_cast<std::uint64_t>(t.counter("steal_failures"));
-      const double imbalance = t.counter("imbalance");
-      scaling.add_row({std::to_string(threads), steal ? "on" : "off",
-                       fmt_double(seconds, 3), fmt_double(speedup, 2),
-                       fmt_double(replication_factor(g_large, part), 3),
-                       std::to_string(steals), std::to_string(steal_failures),
-                       fmt_double(imbalance, 3), identical ? "yes" : "NO"});
-      if (!first) json += ',';
-      first = false;
-      json += "{\"threads\":" + std::to_string(threads) +
-              ",\"steal\":" + (steal ? "true" : "false") +
-              ",\"seconds\":" + fmt_double(seconds, 6) +
-              ",\"speedup\":" + fmt_double(speedup, 4) +
-              ",\"steals\":" + std::to_string(steals) +
-              ",\"steal_failures\":" + std::to_string(steal_failures) +
-              ",\"imbalance\":" + fmt_double(imbalance, 4) +
-              ",\"identical\":" + (identical ? "true" : "false") + "}";
-      if (!identical) {
-        std::cerr << "FATAL: " << threads << "-thread (steal "
-                  << (steal ? "on" : "off")
-                  << ") result differs from 1-thread baseline\n";
-        return 1;
-      }
-      std::cout.flush();
+    MultiTlpOptions options;
+    options.num_threads = threads;
+    const MultiTlpPartitioner multi{options};
+    RunContext run_ctx;
+    const auto t0 = std::chrono::steady_clock::now();
+    const EdgePartition part = multi.partition(g_large, config, run_ctx);
+    const auto t1 = std::chrono::steady_clock::now();
+    const double seconds = std::chrono::duration<double>(t1 - t0).count();
+    if (baseline.empty()) {
+      baseline = part.raw();
+      baseline_seconds = seconds;
     }
+    const bool identical = part.raw() == baseline;
+    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
+    const double imbalance = run_ctx.telemetry().counter("imbalance");
+    scaling.add_row({std::to_string(threads), fmt_double(seconds, 3),
+                     fmt_double(speedup, 2),
+                     fmt_double(replication_factor(g_large, part), 3),
+                     fmt_double(imbalance, 3), identical ? "yes" : "NO"});
+    if (!first) json += ',';
+    first = false;
+    json += "{\"threads\":" + std::to_string(threads) +
+            ",\"seconds\":" + fmt_double(seconds, 6) +
+            ",\"speedup\":" + fmt_double(speedup, 4) +
+            ",\"imbalance\":" + fmt_double(imbalance, 4) +
+            ",\"identical\":" + (identical ? "true" : "false") + "}";
+    if (!identical) {
+      std::cerr << "FATAL: " << threads
+                << "-thread result differs from 1-thread baseline\n";
+      return 1;
+    }
+    std::cout.flush();
   }
   json += "]}";
   scaling.print(std::cout);
   std::ofstream("BENCH_scaling.json") << json << '\n';
   std::cout << "\nwrote BENCH_scaling.json (hardware note: speedup and "
-               "imbalance are meaningful only on multi-core hosts; steal "
-               "on/off rows are byte-identical by construction).\n";
+               "imbalance are meaningful only on multi-core hosts).\n";
   return 0;
 }

@@ -2,7 +2,7 @@
 // paper's selection criteria. One implementation serves BOTH growth loops:
 // the sequential TLP run (core/tlp.cpp, frozen residual degrees, lazy μs1
 // upgrades via add_connection) and the concurrent multi-partition run
-// (core/multi_tlp.cpp, where another partition can steal a candidate's edges
+// (core/multi_tlp.cpp, where another partition can claim a candidate's edges
 // so c/rdeg/μs1 are re-stated eagerly via upsert).
 //
 // Key performance facts exploited here (see DESIGN.md):

@@ -78,20 +78,12 @@ class MultiRun {
       });
     }
     // Per-PARTITION state lives in a per-partition child arena (children
-    // [W, W + p); workers use [0, W)). A shared arena is not thread-safe,
-    // and with work stealing a partition's task can run on ANY worker — but
-    // each partition's task runs exactly once per phase, so an arena only
-    // its own partition touches is race-free no matter which thread
-    // executes the task.
+    // [W, W + p); workers use [0, W)). A shared arena is not thread-safe;
+    // under static ownership partition k's task always runs on worker
+    // k % W, so an arena only its own partition touches is race-free.
     parts_.reserve(config.num_partitions);
     for (PartitionId k = 0; k < config.num_partitions; ++k) {
       parts_.emplace_back(ctx.child(num_workers_ + k).arena());
-    }
-    if (steal_active()) {
-      queues_.resize(num_workers_);
-      const std::size_t per_worker =
-          (config.num_partitions + num_workers_ - 1) / num_workers_;
-      for (StealQueue& queue : queues_) queue.reserve_hint(per_worker);
     }
     busy_.assign(num_workers_, 0.0);
     step_busy_.assign(num_workers_, 0.0);
@@ -186,22 +178,14 @@ class MultiRun {
     std::size_t claim_conflicts = 0;
     std::size_t stale_claims = 0;
     std::size_t seed_collisions = 0;
-    /// Scheduler outcomes — wall-clock/schedule-dependent, NOT
-    /// worker-count-invariant (unlike everything above).
-    std::uint64_t steals = 0;
-    std::uint64_t steal_failures = 0;
   };
-
-  [[nodiscard]] bool steal_active() const {
-    return pool_ != nullptr && options_.steal;
-  }
 
   /// Runs `task(worker, k)` exactly once for every partition k, under the
   /// per-worker child-context phase timer `timer_key`, and accumulates each
   /// worker's busy time (entry-to-exit of its phase body, i.e. excluding
-  /// the barrier wait) into step_busy_. Three schedules, one result:
-  /// inline (W == 1), static ownership (k % W, ascending k), or
-  /// work-stealing deques — which thread runs a partition-task only moves
+  /// the barrier wait) into step_busy_. Two schedules, one result: inline
+  /// (W == 1) or static ownership (worker k % W runs partition k, in
+  /// ascending k) — which thread runs a partition-task only moves
   /// wall-clock time, never the task's effect (docs/THREADING.md).
   void run_phase(const char* timer_key,
                  const std::function<void(std::size_t, PartitionId)>& task) {
@@ -211,46 +195,17 @@ class MultiRun {
       for (PartitionId k = 0; k < p; ++k) task(0, k);
       return;  // no busy tracking inline: imbalance is 1 by definition
     }
-    if (!steal_active()) {
-      pool_->run_indexed(num_workers_, [&](std::size_t w) {
-        const auto timer = workers_[w].ctx->telemetry().time(timer_key);
-        const auto start = std::chrono::steady_clock::now();
-        for (PartitionId k = static_cast<PartitionId>(w); k < p;
-             k += static_cast<PartitionId>(num_workers_)) {
-          task(w, k);
-        }
-        step_busy_[w] += std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-      });
-      return;
-    }
-    // Refill the deques serially: worker w owns partitions k ≡ w (mod W),
-    // pushed in ascending k so the owner drains them in the same order the
-    // static schedule would, and thieves steal the highest pending k first.
-    for (std::size_t w = 0; w < num_workers_; ++w) {
-      queues_[w].reset();
+    pool_->run_indexed(num_workers_, [&](std::size_t w) {
+      const auto timer = workers_[w].ctx->telemetry().time(timer_key);
+      const auto start = std::chrono::steady_clock::now();
       for (PartitionId k = static_cast<PartitionId>(w); k < p;
            k += static_cast<PartitionId>(num_workers_)) {
-        queues_[w].push(k);
+        task(w, k);
       }
-    }
-    pool_->run_stealable(
-        queues_,
-        [&](std::size_t w, StealSource& source) {
-          const auto timer = workers_[w].ctx->telemetry().time(timer_key);
-          const auto start = std::chrono::steady_clock::now();
-          std::uint32_t k = 0;
-          while (source.next(k)) task(w, static_cast<PartitionId>(k));
-          step_busy_[w] += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-        },
-        &steal_stats_);
-    for (const StealStats& stats : steal_stats_) {
-      totals_.steals += stats.steals;
-      totals_.steal_failures += stats.steal_failures;
-    }
+      step_busy_[w] += std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    });
   }
 
   /// Barrier-side (serial) bookkeeping after a committed super-step:
@@ -695,12 +650,9 @@ class MultiRun {
     t.add("stale_claims", static_cast<double>(totals_.stale_claims));
     t.add("seed_collisions", static_cast<double>(totals_.seed_collisions));
     t.set("threads", static_cast<double>(num_workers_));
-    // Scheduler telemetry. These keys (plus threads and the worker_busy
-    // series) are the only ones allowed to differ across worker counts or
-    // steal settings — everything else is worker-count-invariant.
-    t.set("steal", steal_active() ? 1.0 : 0.0);
-    t.add("steals", static_cast<double>(totals_.steals));
-    t.add("steal_failures", static_cast<double>(totals_.steal_failures));
+    // Scheduler telemetry. imbalance (plus threads and the worker_busy
+    // series) is the only key allowed to differ across worker counts —
+    // everything else is worker-count-invariant.
     double imbalance = 1.0;  // trivially balanced inline
     if (num_workers_ > 1) {
       double total = 0.0;
@@ -742,10 +694,6 @@ class MultiRun {
 
   std::vector<Part> parts_;
   std::vector<Worker> workers_;
-  /// Work-stealing schedule (empty unless steal_active()): queues_[w] is
-  /// refilled with worker w's owned partitions at the top of each phase.
-  std::vector<StealQueue> queues_;
-  std::vector<StealStats> steal_stats_;  ///< per-phase scratch
   /// Wall-clock busy seconds per worker: whole run / current super-step.
   std::vector<double> busy_;
   std::vector<double> step_busy_;

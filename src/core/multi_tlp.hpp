@@ -27,15 +27,8 @@
 // result is bit-identical for every worker count (including the inline
 // 1-thread path) — only wall-clock time changes with `num_threads`.
 //
-// Scheduling within the parallel phases is work-stealing (default; see
-// MultiTlpOptions::steal and docs/THREADING.md): partitions start on their
-// owning worker (k % W, ascending k) but an idle worker steals pending
-// partition-tasks from the tails of other workers' deques
-// (util/steal_queue.hpp via ThreadPool::run_stealable). Only the schedule
-// moves — which THREAD runs a partition's propose or frontier-update never
-// changes what that task computes, and claim arbitration stays
-// lowest-partition-id-wins at the serial barrier — so the assignment is
-// bit-identical across `num_threads` × `steal` on/off.
+// Both parallel phases use the same static schedule: worker k % W runs
+// partition k, in ascending k (docs/THREADING.md).
 //
 // Every partition keeps its own modularity state and stage, so the
 // Table-II switching logic is unchanged; only the growth schedule differs.
@@ -50,10 +43,9 @@
 // super-step machinery adds super_steps / claim_conflicts / stale_claims /
 // seed_collisions / threads. Worker-side phase timers accumulate in
 // per-worker child RunContexts and merge into the parent at the end of the
-// run. The scheduler instruments itself: steals / steal_failures counters,
-// a per-super-step worker_busy series (W entries per step when W > 1), an
-// imbalance gauge (max/mean whole-run worker busy time) and a steal gauge
-// (1 when stealing was active) — these are wall-clock/schedule-dependent
+// run. The scheduler instruments itself: a per-super-step worker_busy
+// series (W entries per step when W > 1) and an imbalance gauge (max/mean
+// whole-run worker busy time) — these are wall-clock/schedule-dependent
 // and are the ONLY keys besides `threads` allowed to vary across worker
 // counts.
 #pragma once
@@ -73,11 +65,8 @@ struct MultiTlpOptions {
   /// partition result is bit-identical for every value; the count is capped
   /// at num_partitions.
   std::size_t num_threads = 1;
-  /// Work stealing within the parallel phases (default on): idle workers
-  /// take pending partition-tasks from the tails of other workers' deques
-  /// instead of idling at the barrier. Off = static ownership (k % W only).
-  /// Either way the result is bit-identical — the flag exists for A/B
-  /// imbalance measurement (bench/scaling_runtime), not correctness.
+  /// Has no effect: nothing reads it. It stays declared only because
+  /// existing callers still assign it.
   bool steal = true;
 };
 

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <system_error>
 
 namespace tlp::numa {
 namespace {
+
+/// Largest cpu id parse_cpulist accepts (Linux caps NR_CPUS at 8192). The
+/// cap also keeps the range loop below free of signed overflow.
+constexpr int kMaxCpuId = 65535;
 
 /// Parses the integer prefix of `s`; returns false on no digits.
 bool parse_int(std::string_view s, int& out) {
@@ -51,6 +54,7 @@ std::vector<int> parse_cpulist(std::string_view list) {
         continue;
       }
     }
+    if (hi > kMaxCpuId) continue;
     for (int c = lo; c <= hi; ++c) cpus.push_back(c);
   }
   std::sort(cpus.begin(), cpus.end());
@@ -64,7 +68,7 @@ Topology detect(const std::filesystem::path& root) {
   if (!std::filesystem::is_directory(root, ec) || ec) return topo;
 
   // Collect (node id, cpus) pairs, then sort by node id: directory
-  // iteration order is unspecified, and worker placement must be
+  // iteration order is unspecified, and the topology must be
   // deterministic for a given machine.
   std::vector<std::pair<int, std::vector<int>>> nodes;
   for (const auto& entry : std::filesystem::directory_iterator(root, ec)) {
@@ -79,7 +83,7 @@ Topology detect(const std::filesystem::path& root) {
     std::getline(in, line);
     auto cpus = parse_cpulist(line);
     // Memory-only nodes (CXL expanders, ballooned guests) have an empty
-    // cpulist; there is nothing to pin to them, so they don't count.
+    // cpulist; they hold no CPUs, so they don't count.
     if (cpus.empty()) continue;
     nodes.emplace_back(id, std::move(cpus));
   }
@@ -90,46 +94,9 @@ Topology detect(const std::filesystem::path& root) {
   return topo;
 }
 
-bool disabled_by_env() {
-  const char* env = std::getenv("TLP_NUMA");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "off" || v == "OFF" || v == "0" || v == "false" || v == "FALSE";
-}
-
 const Topology& system_topology() {
   static const Topology topo = detect();
   return topo;
-}
-
-bool placement_enabled() {
-  return system_topology().multi_node() && !disabled_by_env();
-}
-
-std::vector<std::vector<std::uint32_t>> steal_victim_orders(
-    const std::vector<std::size_t>& worker_node) {
-  const std::size_t n = worker_node.size();
-  std::vector<std::vector<std::uint32_t>> orders(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    auto& order = orders[w];
-    order.reserve(n - 1);
-    // Two modular passes from w+1: same-node victims, then remote ones.
-    // Within each group the order matches the unbiased sweep, so with one
-    // node this degenerates to exactly the default schedule.
-    for (std::size_t offset = 1; offset < n; ++offset) {
-      const std::size_t v = (w + offset) % n;
-      if (worker_node[v] == worker_node[w]) {
-        order.push_back(static_cast<std::uint32_t>(v));
-      }
-    }
-    for (std::size_t offset = 1; offset < n; ++offset) {
-      const std::size_t v = (w + offset) % n;
-      if (worker_node[v] != worker_node[w]) {
-        order.push_back(static_cast<std::uint32_t>(v));
-      }
-    }
-  }
-  return orders;
 }
 
 }  // namespace tlp::numa

@@ -1,24 +1,15 @@
-// NUMA topology detection for worker placement (util/thread_pool.cpp).
+// NUMA topology detection: which CPUs belong to which node.
 //
 // Parses /sys/devices/system/node directly — no libnuma dependency, and
 // the sysfs root is a parameter so tests can point detection at a fake
 // tree. A node counts only if it has CPUs (memory-only / CXL nodes are
-// skipped: there is nothing to pin to them). Detection failures of any
-// kind (missing directory, unreadable cpulist, non-Linux) yield an empty
-// topology, which every consumer treats as "single node, placement off".
-//
-// Policy knob: TLP_NUMA=off (or 0/false) disables NUMA placement even on
-// multi-node machines — read at every query, not cached, so tests can
-// flip it per ThreadPool (docs/API.md, "Environment knobs").
-//
-// Contract with the partitioners: placement only moves threads and pages,
-// never results. Pinning, node-local first-touch arenas and the same-node
-// steal bias all change where work runs, not what it computes (see
-// docs/THREADING.md, "NUMA placement").
+// skipped). Detection failures of any kind (missing directory, unreadable
+// cpulist, non-Linux) yield an empty topology. The only consumer is the
+// benchmark host fingerprint (node count); nothing places threads or
+// memory by node.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <filesystem>
 #include <string_view>
 #include <vector>
@@ -31,7 +22,7 @@ struct Topology {
   std::vector<std::vector<int>> node_cpus;
 
   [[nodiscard]] std::size_t num_nodes() const { return node_cpus.size(); }
-  /// True iff there is anything to place across (>= 2 nodes with CPUs).
+  /// True iff the machine has >= 2 nodes with CPUs.
   [[nodiscard]] bool multi_node() const { return node_cpus.size() > 1; }
   [[nodiscard]] std::size_t total_cpus() const {
     std::size_t n = 0;
@@ -41,7 +32,8 @@ struct Topology {
 };
 
 /// Parses a sysfs cpulist ("0-3,8,10-11") into sorted cpu ids. Malformed
-/// chunks are skipped (sysfs is trusted but tests feed garbage).
+/// chunks, and chunks naming a cpu id above 65535, are skipped (sysfs
+/// is trusted but tests feed garbage).
 [[nodiscard]] std::vector<int> parse_cpulist(std::string_view list);
 
 /// Scans `root` for node<N>/cpulist entries. Returns an empty topology on
@@ -49,25 +41,8 @@ struct Topology {
 [[nodiscard]] Topology detect(
     const std::filesystem::path& root = "/sys/devices/system/node");
 
-/// True iff TLP_NUMA is set to off/0/false. Read fresh on every call.
-[[nodiscard]] bool disabled_by_env();
-
 /// The live machine's topology, detected once per process and cached
-/// (detection walks sysfs; callers query per pool construction).
+/// (detection walks sysfs).
 [[nodiscard]] const Topology& system_topology();
-
-/// The placement policy gate: multi-node machine AND not disabled by
-/// TLP_NUMA. This is the only question ThreadPool asks; on a single-node
-/// machine it is false and the pool makes no affinity syscalls at all.
-[[nodiscard]] bool placement_enabled();
-
-/// Steal-sweep orders biased toward same-node victims: given worker w's
-/// node assignment worker_node[w], result[w] lists every other worker,
-/// same-node victims first, each group in the modular (w+1, w+2, …) order
-/// the unbiased sweep uses. Pure (testable without a multi-node machine);
-/// ThreadPool feeds the result to StealSource. A biased order changes only
-/// which victim a thief probes first, never any task's result.
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> steal_victim_orders(
-    const std::vector<std::size_t>& worker_node);
 
 }  // namespace tlp::numa

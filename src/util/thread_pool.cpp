@@ -3,60 +3,15 @@
 #include <algorithm>
 #include <exception>
 
-#include "util/numa.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace tlp {
-namespace {
-
-#if defined(__linux__)
-/// Best-effort pin of `t` to a node's CPU set. Failure (cgroup cpuset
-/// narrower than the node, raced hotplug) just leaves the worker unpinned;
-/// placement is a performance hint, never a correctness requirement.
-void pin_to_cpus(std::thread& t, const std::vector<int>& cpus) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (const int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE) {
-      CPU_SET(c, &set);
-      any = true;
-    }
-  }
-  if (any) pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-}
-#endif
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  // NUMA placement decision, made once per pool: only a multi-node machine
-  // with TLP_NUMA unset/on gets node assignments, pinning, and biased
-  // steal sweeps. The single-node path allocates nothing and issues no
-  // affinity syscalls.
-  const numa::Topology& topo = numa::system_topology();
-  if (topo.multi_node() && !numa::disabled_by_env()) {
-    worker_node_.resize(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-      worker_node_[i] = i % topo.num_nodes();
-    }
-    victim_orders_ = numa::steal_victim_orders(worker_node_);
-  }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
-#if defined(__linux__)
-    if (!worker_node_.empty()) {
-      pin_to_cpus(workers_.back(), topo.node_cpus[worker_node_[i]]);
-    }
-#endif
   }
 }
 
@@ -68,14 +23,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::stop() {
-  std::deque<std::function<void()>> abandoned;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopped_ = true;
-    // Destroy queued tasks outside the lock: each unrun packaged_task
-    // breaks its promise on destruction, and future-side callbacks must
-    // not run under our mutex.
-    abandoned.swap(queue_);
   }
   wake_.notify_all();
 }
@@ -90,7 +40,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();  // packaged_task captures any exception into its future
+    task();
   }
 }
 
@@ -111,9 +61,6 @@ void ThreadPool::run_indexed(std::size_t n,
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) {
-      throw std::runtime_error("ThreadPool: run_indexed after stop()");
-    }
     for (std::size_t i = 0; i < n; ++i) {
       queue_.emplace_back([&join, &fn, i] {
         try {
@@ -138,34 +85,6 @@ void ThreadPool::run_indexed(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     if (join.errors[i] != nullptr) std::rethrow_exception(join.errors[i]);
   }
-}
-
-void ThreadPool::run_strided(
-    std::size_t num_tasks,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (num_tasks == 0) return;
-  const std::size_t stride = std::min(size(), num_tasks);
-  run_indexed(stride, [&fn, num_tasks, stride](std::size_t w) {
-    for (std::size_t t = w; t < num_tasks; t += stride) fn(w, t);
-  });
-}
-
-void ThreadPool::run_stealable(
-    std::vector<StealQueue>& queues,
-    const std::function<void(std::size_t, StealSource&)>& body,
-    std::vector<StealStats>* stats) {
-  if (stats != nullptr) stats->assign(queues.size(), StealStats{});
-  run_indexed(queues.size(), [this, &queues, &body, stats](std::size_t w) {
-    // Same-node-first sweep when placement is active (worker index w maps
-    // to pool worker w in the common queues.size() == size() case; for
-    // smaller phases the order still only changes probe priority).
-    const std::vector<std::uint32_t>* order =
-        w < victim_orders_.size() ? &victim_orders_[w] : nullptr;
-    StealSource source(queues, w, order);
-    body(w, source);
-    // Each worker writes only its own pre-sized slot; no lock needed.
-    if (stats != nullptr) (*stats)[w] = source.stats();
-  });
 }
 
 }  // namespace tlp

@@ -1,43 +1,19 @@
 // ThreadPool: a fixed-size worker pool for fork/join super-steps.
 //
 // Built for the parallel multi-partition growth in core/multi_tlp.cpp, but
-// deliberately generic: FIFO task submission with futures, plus a blocking
-// run_indexed() that fans one callable out over [0, n) and acts as a
-// barrier, and run_stealable() — the same barrier over a set of per-worker
-// task deques (util/steal_queue.hpp) where idle workers steal pending tasks
-// from the tails of other workers' queues. Exceptions propagate: a
-// submitted task's exception surfaces through its future; the barriers
-// rethrow the exception of the smallest failing worker index (deterministic
-// regardless of scheduling).
-//
-// stop() cancels cooperatively: queued-but-unstarted tasks are abandoned
-// (their futures report std::future_errc::broken_promise) and later
-// submissions are rejected; already-running tasks finish. The destructor
-// stops and joins.
-//
-// NUMA placement (docs/THREADING.md, "NUMA placement"): on multi-node
-// machines — unless TLP_NUMA=off — workers are pinned round-robin across
-// the nodes sysfs reports (util/numa.hpp, no libnuma), and run_stealable's
-// steal sweep probes same-node victims before remote ones. On a
-// single-node machine (or with placement disabled) the pool makes ZERO
-// affinity syscalls and the steal sweep is the classic modular order —
-// graceful degradation, not a special case. Placement moves threads, never
-// results: every phase stays bit-identical pinned or not.
+// deliberately generic: run_indexed() fans one callable out over [0, n)
+// and acts as a barrier. Exceptions propagate: the barrier rethrows the
+// exception of the smallest failing index (deterministic regardless of
+// scheduling). The destructor stops and joins the workers.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
-
-#include "util/steal_queue.hpp"
 
 namespace tlp {
 
@@ -54,90 +30,23 @@ class ThreadPool {
   /// Number of worker threads.
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues `f` (FIFO). The returned future yields f's result or rethrows
-  /// its exception. Throws std::runtime_error after stop().
-  template <class F>
-  auto submit(F f) -> std::future<std::invoke_result_t<F&>> {
-    using R = std::invoke_result_t<F&>;
-    // shared_ptr because std::function must be copyable; the task is still
-    // invoked at most once. Dropping the queue without running it breaks
-    // the promise, which is exactly the cancellation contract.
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(f));
-    std::future<R> result = task->get_future();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopped_) {
-        throw std::runtime_error("ThreadPool: submit after stop()");
-      }
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    wake_.notify_one();
-    return result;
-  }
-
   /// Runs fn(0) .. fn(n-1) across the pool and blocks until all complete
   /// (a fork/join barrier). If any invocations throw, rethrows the
   /// exception of the SMALLEST failing index — deterministic no matter how
   /// the indices were scheduled. Reentrant calls from inside a task are not
-  /// supported, and stop() must not be called while a run_indexed() is in
-  /// flight (abandoned indices would never complete the barrier).
+  /// supported.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Statically-strided fork/join barrier: runs fn(worker, task) for every
-  /// task in [0, num_tasks), task t on worker t % min(size(), num_tasks),
-  /// each worker walking its tasks in ascending order. The cheap fan-out
-  /// for phases whose tasks are too small to be worth a stealing schedule
-  /// (multi_tlp's per-shard claim resolution). Exceptions follow
-  /// run_indexed: the smallest failing worker index is rethrown.
-  void run_strided(
-      std::size_t num_tasks,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Work-stealing fork/join barrier: runs `body(w, src)` for each worker
-  /// w in [0, queues.size()), where `src` schedules the tasks the caller
-  /// pushed into `queues` before the call — own queue from the head, other
-  /// workers' tails when idle. The task set must be FIXED (bodies must not
-  /// push more tasks), and a body must drain its source
-  /// (`while (src.next(t)) ...`) or the undrained tasks are silently
-  /// skipped. Blocks until every body returns; per-worker StealStats land
-  /// in `*stats` (resized to queues.size()) when non-null. Exceptions
-  /// follow run_indexed: the smallest failing worker index is rethrown.
-  void run_stealable(
-      std::vector<StealQueue>& queues,
-      const std::function<void(std::size_t, StealSource&)>& body,
-      std::vector<StealStats>* stats = nullptr);
-
-  /// Cooperative cancellation: abandons queued tasks (futures break),
-  /// rejects later submits, and wakes idle workers. Running tasks finish.
-  void stop();
-
-  /// True iff workers were pinned across NUMA nodes at construction
-  /// (multi-node machine and TLP_NUMA not off). Single-node machines and
-  /// disabled placement report false — and made no affinity syscalls.
-  [[nodiscard]] bool numa_pinning_active() const {
-    return !worker_node_.empty();
-  }
-
-  /// NUMA node worker `w` was pinned to; 0 whenever pinning is inactive
-  /// (the whole machine is then "node 0" as far as placement cares).
-  [[nodiscard]] std::size_t worker_node(std::size_t w) const {
-    return worker_node_.empty() ? 0 : worker_node_[w];
-  }
-
  private:
+  /// Wakes idle workers and lets them exit once the queue is empty.
+  void stop();
   void worker_loop();
 
   std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
   bool stopped_ = false;
-
-  /// Node assignment per worker; empty when placement is inactive.
-  std::vector<std::size_t> worker_node_;
-  /// Same-node-first steal sweeps (numa::steal_victim_orders); empty when
-  /// placement is inactive — run_stealable then uses the modular default.
-  std::vector<std::vector<std::uint32_t>> victim_orders_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tlp

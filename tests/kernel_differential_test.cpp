@@ -1,6 +1,6 @@
 // The tentpole invariant of the SIMD kernel layer: partitions are
-// byte-identical across every kernel x thread x steal x shard x storage
-// tier combination. The kernels change instruction selection, never
+// byte-identical across every kernel x thread count x storage tier
+// combination. The kernels change instruction selection, never
 // values; this suite is the executable proof.
 //
 // Kernels are swept in-process via intersect::set_active (the TLP_KERNEL
@@ -101,6 +101,8 @@ TEST_F(KernelDifferential, SequentialTlpKernelInvariant) {
   }
 }
 
+// The name predates the removal of the steal and shard axes; it is kept so
+// test results stay comparable across history.
 TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
   KernelGuard guard;
   PartitionConfig config;
@@ -120,19 +122,15 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
     ASSERT_TRUE(intersect::set_active(k));
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      for (const bool steal : {true, false}) {
-        MultiTlpOptions mo;
-        mo.num_threads = threads;
-        mo.steal = steal;
-        const MultiTlpPartitioner partitioner{mo};
-        for (const auto& [label, options] : tiers) {
-          SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
-                       " threads=" + std::to_string(threads) +
-                       " steal=" + (steal ? "on" : "off") + " tier=" + label);
-          const Graph tiered = io::load_csr_file(csr_path(), options);
-          EXPECT_EQ(partitioner.partition(tiered, config).raw(),
-                    expected.raw());
-        }
+      MultiTlpOptions mo;
+      mo.num_threads = threads;
+      const MultiTlpPartitioner partitioner{mo};
+      for (const auto& [label, options] : tiers) {
+        SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
+                     " threads=" + std::to_string(threads) + " tier=" + label);
+        const Graph tiered = io::load_csr_file(csr_path(), options);
+        EXPECT_EQ(partitioner.partition(tiered, config).raw(),
+                  expected.raw());
       }
     }
   }

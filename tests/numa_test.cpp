@@ -1,7 +1,5 @@
-// Tests for the NUMA topology layer (util/numa.hpp): cpulist parsing,
-// sysfs detection against fake trees, the TLP_NUMA kill switch, the
-// same-node-first steal victim orders, and the single-node graceful
-// degradation contract (no placement state, hence no affinity syscalls).
+// Tests for the NUMA topology layer (util/numa.hpp): cpulist parsing and
+// sysfs detection against fake trees.
 
 #include "util/numa.hpp"
 
@@ -9,13 +7,10 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
-
-#include "util/thread_pool.hpp"
 
 namespace tlp {
 namespace {
@@ -49,32 +44,6 @@ class FakeSysfs {
   fs::path root_;
 };
 
-/// Scoped TLP_NUMA override; restores the prior value on exit.
-class NumaEnvGuard {
- public:
-  explicit NumaEnvGuard(const char* value) {
-    const char* prev = std::getenv("TLP_NUMA");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value == nullptr) {
-      ::unsetenv("TLP_NUMA");
-    } else {
-      ::setenv("TLP_NUMA", value, 1);
-    }
-  }
-  ~NumaEnvGuard() {
-    if (had_prev_) {
-      ::setenv("TLP_NUMA", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("TLP_NUMA");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
 TEST(ParseCpulist, SinglesRangesAndMixes) {
   EXPECT_EQ(numa::parse_cpulist("0"), (std::vector<int>{0}));
   EXPECT_EQ(numa::parse_cpulist("0-3"), (std::vector<int>{0, 1, 2, 3}));
@@ -92,6 +61,16 @@ TEST(ParseCpulist, MalformedChunksAreSkippedNotFatal) {
   EXPECT_TRUE(numa::parse_cpulist("abc").empty());
   EXPECT_TRUE(numa::parse_cpulist("3-1").empty());  // inverted range
   EXPECT_EQ(numa::parse_cpulist("x,2,y-3,4-5"), (std::vector<int>{2, 4, 5}));
+  // Ids past any real NR_CPUS: skipped without overflowing or expanding
+  // billions of entries.
+  EXPECT_TRUE(numa::parse_cpulist("2147483646-2147483647").empty());
+  EXPECT_TRUE(numa::parse_cpulist("2147483647").empty());
+  EXPECT_TRUE(numa::parse_cpulist("0-2147483647").empty());
+  EXPECT_TRUE(numa::parse_cpulist("99999999999").empty());
+  EXPECT_EQ(numa::parse_cpulist("1,0-2147483647,3"), (std::vector<int>{1, 3}));
+  // The cap is 65535: the last id in range is kept, one past it is not.
+  EXPECT_EQ(numa::parse_cpulist("65535"), (std::vector<int>{65535}));
+  EXPECT_TRUE(numa::parse_cpulist("65535-65536").empty());
 }
 
 TEST(Detect, TwoNodeTree) {
@@ -136,91 +115,6 @@ TEST(Detect, NonNodeEntriesIgnored) {
   std::ofstream(sysfs.root() / "online") << "0-1\n";
   const numa::Topology topo = numa::detect(sysfs.root());
   EXPECT_EQ(topo.num_nodes(), 2u);
-}
-
-TEST(DisabledByEnv, RecognizedSpellings) {
-  for (const char* off : {"off", "OFF", "0", "false", "FALSE"}) {
-    const NumaEnvGuard guard(off);
-    EXPECT_TRUE(numa::disabled_by_env()) << off;
-  }
-  for (const char* on : {"on", "1", "auto", ""}) {
-    const NumaEnvGuard guard(on);
-    EXPECT_FALSE(numa::disabled_by_env()) << on;
-  }
-  const NumaEnvGuard unset(nullptr);
-  EXPECT_FALSE(numa::disabled_by_env());
-}
-
-TEST(StealVictimOrders, SameNodeVictimsComeFirst) {
-  // Workers 0,2 on node 0; workers 1,3 on node 1 (round-robin placement).
-  const std::vector<std::size_t> nodes{0, 1, 0, 1};
-  const auto orders = numa::steal_victim_orders(nodes);
-  ASSERT_EQ(orders.size(), 4u);
-  // Worker 0: same-node victim 2 first, then remote 1, 3 in modular order.
-  EXPECT_EQ(orders[0], (std::vector<std::uint32_t>{2, 1, 3}));
-  // Worker 1: same-node victim 3 first, then remote 2, 0.
-  EXPECT_EQ(orders[1], (std::vector<std::uint32_t>{3, 2, 0}));
-  EXPECT_EQ(orders[2], (std::vector<std::uint32_t>{0, 3, 1}));
-  EXPECT_EQ(orders[3], (std::vector<std::uint32_t>{1, 0, 2}));
-}
-
-TEST(StealVictimOrders, SingleNodeDegeneratesToModularSweep) {
-  const std::vector<std::size_t> nodes{0, 0, 0, 0};
-  const auto orders = numa::steal_victim_orders(nodes);
-  ASSERT_EQ(orders.size(), 4u);
-  // With one node the biased order IS the classic (w+1, w+2, ...) sweep.
-  EXPECT_EQ(orders[0], (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_EQ(orders[1], (std::vector<std::uint32_t>{2, 3, 0}));
-  EXPECT_EQ(orders[3], (std::vector<std::uint32_t>{0, 1, 2}));
-}
-
-TEST(StealVictimOrders, EveryOrderIsAPermutationOfTheOthers) {
-  const std::vector<std::size_t> nodes{0, 0, 1, 1, 2, 2, 0, 1};
-  const auto orders = numa::steal_victim_orders(nodes);
-  for (std::size_t w = 0; w < nodes.size(); ++w) {
-    std::vector<bool> seen(nodes.size(), false);
-    for (const std::uint32_t v : orders[w]) {
-      ASSERT_NE(v, w) << "a worker never steals from itself";
-      ASSERT_LT(v, nodes.size());
-      ASSERT_FALSE(seen[v]) << "duplicate victim";
-      seen[v] = true;
-    }
-    EXPECT_EQ(orders[w].size(), nodes.size() - 1);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool integration: graceful degradation on this (single-node or
-// TLP_NUMA=off) machine, and correctness independent of placement.
-
-TEST(ThreadPoolNuma, DisabledByEnvReportsInactive) {
-  const NumaEnvGuard guard("off");
-  ThreadPool pool(4);
-  EXPECT_FALSE(pool.numa_pinning_active());
-  EXPECT_EQ(pool.worker_node(0), 0u);
-  EXPECT_EQ(pool.worker_node(3), 0u);
-}
-
-TEST(ThreadPoolNuma, SingleNodeMachineNeverPins) {
-  // On a single-node machine placement must be inactive with or without
-  // the env knob; on a multi-node machine this test only checks the
-  // accessors stay consistent.
-  ThreadPool pool(2);
-  if (!numa::system_topology().multi_node()) {
-    EXPECT_FALSE(pool.numa_pinning_active());
-    EXPECT_EQ(pool.worker_node(0), 0u);
-    EXPECT_EQ(pool.worker_node(1), 0u);
-  } else {
-    EXPECT_EQ(pool.numa_pinning_active(), !numa::disabled_by_env());
-  }
-}
-
-TEST(ThreadPoolNuma, PoolStillRunsWorkWithPlacementDisabled) {
-  const NumaEnvGuard guard("off");
-  ThreadPool pool(3);
-  std::vector<int> hits(100, 0);
-  pool.run_indexed(hits.size(), [&hits](std::size_t i) { hits[i] = 1; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
 }  // namespace

@@ -6,42 +6,20 @@
 
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 namespace tlp {
 namespace {
 
-TEST(ThreadPool, SubmitReturnsResults) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2u);
-  auto a = pool.submit([] { return 41 + 1; });
-  auto b = pool.submit([] { return std::string("ok"); });
-  EXPECT_EQ(a.get(), 42);
-  EXPECT_EQ(b.get(), "ok");
-}
-
 TEST(ThreadPool, SingleThreadPoolRunsTasksInSubmissionOrder) {
   ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> done;
-  for (int i = 0; i < 16; ++i) {
-    done.push_back(pool.submit([i, &order] { order.push_back(i); }));
-  }
-  for (auto& f : done) f.get();
-  std::vector<int> expected(16);
-  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(pool.size(), 1u);
+  std::vector<std::size_t> order;
+  pool.run_indexed(16, [&order](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> expected(16);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
   EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(ThreadPool, RunIndexedCoversEveryIndexExactlyOnce) {
@@ -74,65 +52,9 @@ TEST(ThreadPool, RunIndexedRethrowsSmallestFailingIndex) {
   }
 }
 
-TEST(ThreadPool, RunStridedCoversEveryTaskOnItsStaticWorker) {
-  ThreadPool pool(3);
-  constexpr std::size_t kTasks = 20;
-  std::vector<std::atomic<int>> hits(kTasks);
-  std::vector<std::atomic<std::size_t>> worker_of(kTasks);
-  pool.run_strided(kTasks, [&](std::size_t w, std::size_t t) {
-    ++hits[t];
-    worker_of[t] = w;
-  });
-  for (std::size_t t = 0; t < kTasks; ++t) {
-    EXPECT_EQ(hits[t].load(), 1);
-    EXPECT_EQ(worker_of[t].load(), t % 3);  // static t % min(size, tasks)
-  }
-}
-
-TEST(ThreadPool, RunStridedClampsStrideToTaskCount) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<std::size_t>> worker_of(3);
-  pool.run_strided(3, [&](std::size_t w, std::size_t t) { worker_of[t] = w; });
-  for (std::size_t t = 0; t < 3; ++t) {
-    EXPECT_EQ(worker_of[t].load(), t);  // stride = min(8, 3) = 3
-  }
-}
-
-TEST(ThreadPool, RunStridedZeroTasksIsANoOp) {
+TEST(ThreadPool, RunIndexedZeroTasksIsANoOp) {
   ThreadPool pool(2);
-  pool.run_strided(0, [](std::size_t, std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, RunStridedRethrowsSmallestFailingWorker) {
-  ThreadPool pool(4);
-  try {
-    pool.run_strided(12, [](std::size_t, std::size_t t) {
-      if (t % 2 == 1) throw t;  // workers 1 and 3 fail
-    });
-    FAIL() << "expected run_strided to throw";
-  } catch (const std::size_t& t) {
-    EXPECT_EQ(t, 1u);  // worker 1's first failing task
-  }
-}
-
-TEST(ThreadPool, StopBreaksQueuedPromisesAndRejectsSubmit) {
-  ThreadPool pool(1);
-  // Park the single worker so everything behind it stays queued; wait for
-  // it to actually start so stop() cannot abandon it too.
-  std::promise<void> started;
-  std::promise<void> release;
-  auto gate = release.get_future().share();
-  auto running = pool.submit([&started, gate] {
-    started.set_value();
-    gate.wait();
-  });
-  auto queued = pool.submit([] { return 1; });
-  started.get_future().wait();
-  pool.stop();
-  release.set_value();
-  running.get();  // already-running task finishes normally
-  EXPECT_THROW(queued.get(), std::future_error);
-  EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
+  pool.run_indexed(0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPool, ZeroRequestsHardwareConcurrencyWithFloorOfOne) {

@@ -10,8 +10,8 @@
 # Each configuration builds into its own directory (build/, build-asan/,
 # build-ubsan/, build-tsan/, build-release/) so incremental re-runs stay
 # cheap. The TSan leg only runs the concurrency-relevant suites (the thread
-# pool, the steal deque, and the parallel multi-partition growth — including
-# its work-stealing schedule) with the worker count forced above one. The
+# pool and the parallel multi-partition growth under its static schedule)
+# with the worker count forced above one. The
 # perf-smoke leg builds the hot-path microbench at -O2 and runs its small
 # fixture: bit-identity of the flat growth structures against the embedded
 # pre-change baseline plus the zero-steady-state-allocation check, with
@@ -64,20 +64,16 @@ run_suite build-ubsan -DTLP_SANITIZE=undefined \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
 
 # TSan: only the suites that actually spin up threads. The multi_tlp suite
-# includes cross-thread-count runs (2 and 8 workers) with stealing both on
-# and off and the steal_queue suite hammers one deque from four thieves,
-# so claim/commit races and steal-schedule races surface here. The serial
-# refine_engine suite rides along as a cheap guard on the shared arena and
-# telemetry code it uses.
+# includes cross-thread-count runs (2 to 16 workers), so claim/commit and
+# frontier-update races surface here. The serial refine_engine suite rides
+# along as a cheap guard on the shared arena and telemetry code it uses.
 echo "== configure build-tsan (-DTLP_SANITIZE=thread) =="
 cmake -B build-tsan -S . -DTLP_SANITIZE=thread \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target thread_pool_test multi_tlp_test steal_queue_test \
-  refine_engine_test
-echo "== ctest build-tsan (MultiTlp|ThreadPool|StealQueue|Refine) =="
-(cd build-tsan && ctest --output-on-failure \
-  -R 'MultiTlp|ThreadPool|StealQueue|StealSource|Refine')
+  --target thread_pool_test multi_tlp_test refine_engine_test
+echo "== ctest build-tsan (MultiTlp|ThreadPool|Refine) =="
+(cd build-tsan && ctest --output-on-failure -R 'MultiTlp|ThreadPool|Refine')
 
 # Perf smoke: -O2 hot-path microbench on a small fixture. Exits nonzero if
 # the flat structures diverge from the embedded legacy baseline or the warm
