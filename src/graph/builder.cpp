@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <queue>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -30,6 +29,126 @@ constexpr std::size_t kMinChunkEdges = 256;
 /// runs are the public, fuzzed surface; this one never outlives a build).
 constexpr std::array<char, 4> kReverseRunMagic = {'T', 'L', 'R', 'R'};
 constexpr std::size_t kReverseBufferRecords = std::size_t{1} << 10;
+
+/// One adjacency record of the larger endpoint, awaiting its owner's turn.
+struct ReverseEntry {
+  VertexId owner = 0;  // edge endpoint v (the larger one)
+  VertexId nb = 0;     // edge endpoint u
+  EdgeId edge = 0;
+};
+
+/// Empty relabel slot. A filled slot never equals it: that would need the
+/// dense id 0xFFFFFFFF, and RelabelTable stops at 2^32 - 1 ids.
+constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
+constexpr unsigned kInitialLog2Slots = 4;
+
+/// The merge order of canonical edges and of reverse records, as one u64.
+/// No canonical edge (u < v) packs to ~0, so ~0 can stand for "none yet".
+constexpr std::uint64_t pack(VertexId hi, VertexId lo) {
+  return (std::uint64_t{hi} << 32) | lo;
+}
+constexpr auto edge_key = [](const Edge& e) { return pack(e.u, e.v); };
+constexpr Edge unpack_edge(std::uint64_t key) {
+  return Edge{static_cast<VertexId>(key >> 32), static_cast<VertexId>(key)};
+}
+constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+/// Stable LSD radix sort of `data` by the u64 key(record), one byte per
+/// pass. A byte that is the same in every key costs no pass, so keys of
+/// ids below 2^21 take six passes, not eight. `scratch` is the second
+/// buffer; it is resized to data.size() and its contents are left
+/// unspecified (the two vectors may trade storage).
+template <typename T, typename KeyFn>
+void radix_sort(std::vector<T>& data, std::vector<T>& scratch, KeyFn key) {
+  const std::size_t n = data.size();
+  if (n < 2) return;
+  scratch.resize(n);
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (const T& record : data) {
+    const std::uint64_t k = key(record);
+    for (unsigned d = 0; d < 8; ++d) ++counts[d][(k >> (8 * d)) & 0xFF];
+  }
+  T* src = data.data();
+  T* dst = scratch.data();
+  for (unsigned d = 0; d < 8; ++d) {
+    auto& count = counts[d];
+    if (count[(key(src[0]) >> (8 * d)) & 0xFF] == n) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : count) {
+      const std::size_t here = c;
+      c = sum;
+      sum += here;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[count[(key(src[i]) >> (8 * d)) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != data.data()) data.swap(scratch);
+}
+
+/// Min-heap of (packed key, source) for the k-way run merges. Ties break
+/// on the source index, so a merge pops in one fixed order.
+class MergeHeap {
+ public:
+  struct Item {
+    std::uint64_t key;
+    std::size_t source;
+  };
+
+  explicit MergeHeap(std::size_t sources) { items_.reserve(sources); }
+
+  [[nodiscard]] bool empty() const { return items_.empty(); }
+  [[nodiscard]] const Item& top() const { return items_.front(); }
+
+  void push(std::uint64_t key, std::size_t source) {
+    std::size_t i = items_.size();
+    items_.push_back(Item{key, source});
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!less(items_[i], items_[parent])) break;
+      std::swap(items_[i], items_[parent]);
+      i = parent;
+    }
+  }
+  /// The top's source advanced to `key`.
+  void replace_top(std::uint64_t key) {
+    items_.front().key = key;
+    sift_down();
+  }
+  /// The top's source ran dry.
+  void pop() {
+    items_.front() = items_.back();
+    items_.pop_back();
+    if (!items_.empty()) sift_down();
+  }
+
+ private:
+  static bool less(const Item& a, const Item& b) {
+    return a.key < b.key || (a.key == b.key && a.source < b.source);
+  }
+  void sift_down() {
+    const std::size_t n = items_.size();
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t best = i;
+      const std::size_t l = 2 * i + 1;
+      if (l < n && less(items_[l], items_[best])) best = l;
+      if (l + 1 < n && less(items_[l + 1], items_[best])) best = l + 1;
+      if (best == i) return;
+      std::swap(items_[i], items_[best]);
+      i = best;
+    }
+  }
+
+  std::vector<Item> items_;
+};
+
+/// Frees a vector's storage; `v = {}` would keep its capacity.
+template <typename T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
 
 [[noreturn]] void fail_build(const std::string& what) {
   throw std::runtime_error("tlp::GraphBuilder: " + what);
@@ -70,6 +189,53 @@ std::size_t parse_budget_env() {
 
 }  // namespace
 
+std::size_t RelabelTable::home_slot(VertexId raw, unsigned log2_slots) {
+  return static_cast<std::size_t>(
+      (std::uint64_t{raw} * 0x9E3779B97F4A7C15ULL) >> (64 - log2_slots));
+}
+
+VertexId RelabelTable::intern(VertexId raw) {
+  if (slots_.empty()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home_slot(raw, log2_slots_);; i = (i + 1) & mask) {
+    const std::uint64_t slot = slots_[i];
+    if (slot == kEmptySlot) {
+      if (2 * (std::size_t{size_} + 1) > slots_.size()) {
+        grow();
+        return intern(raw);
+      }
+      if (size_ == kInvalidVertex) {
+        fail_build("more than 2^32 - 1 distinct vertex ids");
+      }
+      slots_[i] = pack(raw, size_);
+      return size_++;
+    }
+    if (static_cast<VertexId>(slot >> 32) == raw) {
+      return static_cast<VertexId>(slot);
+    }
+  }
+}
+
+void RelabelTable::grow() {
+  const unsigned log2 = slots_.empty() ? kInitialLog2Slots : log2_slots_ + 1;
+  std::vector<std::uint64_t> next(std::size_t{1} << log2, kEmptySlot);
+  const std::size_t mask = next.size() - 1;
+  for (const std::uint64_t slot : slots_) {
+    if (slot == kEmptySlot) continue;
+    std::size_t i = home_slot(static_cast<VertexId>(slot >> 32), log2);
+    while (next[i] != kEmptySlot) i = (i + 1) & mask;
+    next[i] = slot;
+  }
+  slots_.swap(next);
+  log2_slots_ = log2;
+}
+
+void RelabelTable::clear() {
+  release(slots_);
+  log2_slots_ = 0;
+  size_ = 0;
+}
+
 GraphBuilder::GraphBuilder(bool relabel)
     : relabel_(relabel), budget_(parse_budget_env()) {}
 
@@ -83,8 +249,8 @@ void GraphBuilder::set_memory_budget(std::size_t bytes) {
 }
 
 std::size_t GraphBuilder::chunk_capacity() const {
-  // Half the budget for the chunk itself; the other half stays free for
-  // the merge/reverse structures that follow (and for vector bookkeeping).
+  // Half the budget for the chunk itself; the other half is the radix-sort
+  // scratch while filling, and the merge structures afterwards.
   return std::max(budget_ / (2 * sizeof(Edge)), kMinChunkEdges);
 }
 
@@ -102,11 +268,10 @@ void GraphBuilder::remove_runs() {
 }
 
 void GraphBuilder::reset() {
-  edges_.clear();
-  edges_.shrink_to_fit();
+  release(edges_);
+  release(scratch_);
   remove_runs();
-  relabel_map_.clear();
-  next_id_ = 0;
+  relabel_table_.clear();
   max_id_plus_one_ = 0;
   offered_ = 0;
   dropped_self_loops_ = 0;
@@ -116,14 +281,14 @@ void GraphBuilder::reset() {
 
 void GraphBuilder::add_edge(VertexId u, VertexId v) {
   if (relabel_) {
-    auto intern = [this](VertexId x) {
-      auto [it, inserted] = relabel_map_.try_emplace(x, next_id_);
-      if (inserted) ++next_id_;
-      return it->second;
-    };
-    u = intern(u);
-    v = intern(v);
+    u = relabel_table_.intern(u);
+    v = relabel_table_.intern(v);
   } else {
+    if (u == kInvalidVertex || v == kInvalidVertex) {
+      throw std::invalid_argument(
+          "tlp::GraphBuilder: vertex id 4294967295 (kInvalidVertex) is "
+          "reserved without relabel");
+    }
     max_id_plus_one_ = std::max({max_id_plus_one_, u + 1, v + 1});
   }
   ++offered_;
@@ -139,15 +304,18 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
     ++dropped_self_loops_;
     return;
   }
-  if (edges_.capacity() == 0) edges_.reserve(chunk_capacity());
+  if (edges_.capacity() == 0) {
+    edges_.reserve(chunk_capacity());
+    note_live_bytes((edges_.capacity() + scratch_.capacity()) * sizeof(Edge));
+  }
   edges_.push_back(Edge{u, v}.canonical());
-  note_live_bytes(edges_.capacity() * sizeof(Edge));
   if (edges_.size() >= chunk_capacity()) spill_chunk();
 }
 
 void GraphBuilder::spill_chunk() {
   if (edges_.empty()) return;
-  std::sort(edges_.begin(), edges_.end());
+  radix_sort(edges_, scratch_, edge_key);
+  note_live_bytes((edges_.capacity() + scratch_.capacity()) * sizeof(Edge));
   const auto last = std::unique(edges_.begin(), edges_.end());
   edges_.erase(last, edges_.end());
   const std::filesystem::path dir =
@@ -165,13 +333,11 @@ void GraphBuilder::for_each_merged_edge(Fn&& fn) const {
   // chunk is spilled before the merge), so the k-way heap covers it all;
   // the budget==0 path merges the single sorted resident vector trivially.
   if (runs_.empty()) {
-    Edge prev{};
-    bool first = true;
+    std::uint64_t prev = kNoKey;
     for (const Edge& e : edges_) {
-      if (!first && e == prev) continue;
+      if (edge_key(e) == prev) continue;
       fn(e);
-      prev = e;
-      first = false;
+      prev = edge_key(e);
     }
     return;
   }
@@ -179,28 +345,40 @@ void GraphBuilder::for_each_merged_edge(Fn&& fn) const {
   readers.reserve(runs_.size());
   for (const auto& path : runs_) readers.emplace_back(path);
 
-  using HeapItem = std::pair<Edge, std::size_t>;  // (edge, run index)
-  const auto later = [](const HeapItem& a, const HeapItem& b) {
-    return a.first > b.first || (a.first == b.first && a.second > b.second);
-  };
-  std::priority_queue<HeapItem, std::vector<HeapItem>, decltype(later)> heap(
-      later);
+  MergeHeap heap(readers.size());
   Edge e{};
   for (std::size_t i = 0; i < readers.size(); ++i) {
-    if (readers[i].next(e)) heap.push({e, i});
+    if (readers[i].next(e)) heap.push(edge_key(e), i);
   }
-  Edge prev{};
-  bool first = true;
+  std::uint64_t prev = kNoKey;
   while (!heap.empty()) {
-    const auto [top, run] = heap.top();
-    heap.pop();
-    if (first || top != prev) {  // cross-run duplicates collapse here
-      fn(top);
-      prev = top;
-      first = false;
+    const auto [key, run] = heap.top();
+    if (key != prev) {  // cross-run duplicates collapse here
+      fn(unpack_edge(key));
+      prev = key;
     }
-    if (readers[run].next(e)) heap.push({e, run});
+    if (readers[run].next(e)) {
+      heap.replace_top(edge_key(e));
+    } else {
+      heap.pop();
+    }
   }
+}
+
+/// Drops the self-loops of the resident list, canonicalizes the rest, then
+/// sorts and deduplicates it in place; returns the self-loop count.
+std::size_t GraphBuilder::clean_resident_edges() {
+  std::size_t out = 0;
+  for (const Edge& e : edges_) {
+    if (!e.is_self_loop()) edges_[out++] = e.canonical();
+  }
+  const std::size_t self_loops = edges_.size() - out;
+  edges_.resize(out);
+  radix_sort(edges_, scratch_, edge_key);
+  note_live_bytes((edges_.capacity() + scratch_.capacity()) * sizeof(Edge));
+  release(scratch_);
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
+  return self_loops;
 }
 
 Graph GraphBuilder::build(BuildReport* report) {
@@ -227,35 +405,22 @@ Graph GraphBuilder::build(BuildReport* report) {
   local.input_edges = offered_;
   local.relabeled = relabel_;
 
-  // Clean in place — canonicalize and drop self-loops with a compaction
-  // pass, then sort + unique the same buffer. No `clean` copy: the old
-  // sort-into-a-second-vector approach held two full edge lists alive,
-  // putting the build peak at ~2× the final footprint, which is exactly
-  // the wrong property for the out-of-core storage tiers. Peak is now the
-  // input list plus the final CSR (from_edges recognizes the sorted input
-  // and skips the per-vertex adjacency sort too).
-  std::size_t out = 0;
-  for (const Edge& e : edges_) {
-    if (e.is_self_loop()) {
-      ++local.self_loops;
-    } else {
-      edges_[out++] = e.canonical();
-    }
-  }
-  edges_.resize(out);
-  std::sort(edges_.begin(), edges_.end());
-  const auto last = std::unique(edges_.begin(), edges_.end());
-  local.duplicate_edges =
-      static_cast<std::size_t>(std::distance(last, edges_.end()));
-  edges_.erase(last, edges_.end());
+  // Clean in place: no second full edge list, so the peak is the input
+  // list plus the final CSR (the sort scratch is gone before from_edges
+  // builds it, and from_edges recognizes the sorted input and skips the
+  // per-vertex adjacency sort).
+  local.self_loops = clean_resident_edges();
   local.kept_edges = edges_.size();
+  local.duplicate_edges =
+      local.input_edges - local.self_loops - local.kept_edges;
 
-  const VertexId n = relabel_ ? next_id_ : max_id_plus_one_;
+  const VertexId n = relabel_ ? relabel_table_.size() : max_id_plus_one_;
   const std::size_t m = edges_.size();
   // Input list + the CSR arrays from_edges builds while the list is alive.
   local.build_peak_bytes =
       edges_.capacity() * sizeof(Edge) + (n + 1) * sizeof(std::size_t) +
       2 * m * (sizeof(Neighbor) + sizeof(VertexId)) + m * sizeof(Edge);
+  relabel_table_.clear();
   Graph g = Graph::from_edges(n, std::move(edges_));
   if (storage_.tier != StorageTier::kInMemory) {
     g = io::with_tier(g, storage_);
@@ -276,33 +441,24 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
   if (!external()) {
     // Unbounded: clean the single resident list in place, then stream it
     // through the same writer passes the external regime uses.
-    std::size_t out = 0;
-    for (const Edge& e : edges_) {
-      if (e.is_self_loop()) {
-        ++local.self_loops;
-      } else {
-        edges_[out++] = e.canonical();
-      }
-    }
-    edges_.resize(out);
-    std::sort(edges_.begin(), edges_.end());
-    edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-    note_live_bytes(edges_.capacity() * sizeof(Edge));
+    local.self_loops = clean_resident_edges();
   } else {
     local.self_loops = dropped_self_loops_;
     spill_chunk();  // final partial chunk
-    edges_.clear();
-    edges_.shrink_to_fit();
+    release(edges_);
+    release(scratch_);
   }
   local.spill_runs = runs_.size();
 
-  const VertexId n = relabel_ ? next_id_ : max_id_plus_one_;
+  // Every id is final: the relabel table has nothing left to answer.
+  const VertexId n = relabel_ ? relabel_table_.size() : max_id_plus_one_;
+  relabel_table_.clear();
   const std::size_t run_buffers =
       runs_.size() * (std::size_t{1} << 14);  // EdgeRunReader staging
 
   // Pass 1 — count: one merged scan establishes m and every degree, which
   // is all the offset section needs. The degree array is the only O(n)
-  // allocation of the whole build (the relabel map aside).
+  // allocation of the merge passes.
   std::vector<std::uint64_t> degree(static_cast<std::size_t>(n) + 1, 0);
   std::uint64_t m = 0;
   for_each_merged_edge([&](const Edge& e) {
@@ -326,29 +482,40 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
     prefix += degree[v];
     writer.append_offset(prefix);
   }
-  degree.clear();
-  degree.shrink_to_fit();
+  release(degree);
 
   // Pass 2 — edge section + reverse spill: the merged stream is already
   // the edge section in id order (ids are positions in the sorted stream),
   // and it is simultaneously the *forward* adjacency stream (grouped by
   // the smaller endpoint, ascending). The *reverse* direction (owner = the
   // larger endpoint) arrives out of order, so it externally sorts through
-  // bounded (owner, nb, edge) runs.
+  // bounded (owner, nb, edge) runs. Each run buffer receives its records
+  // with nb ascending (the forward stream's order), so a stable sort on
+  // the owner alone leaves it in (owner, nb) order.
   std::vector<std::filesystem::path> reverse_runs;
   const std::size_t reverse_capacity =
       external()
           ? std::max(budget_ / (2 * sizeof(ReverseEntry)), kMinChunkEdges)
           : std::numeric_limits<std::size_t>::max();
   std::vector<ReverseEntry> reverse;
-  if (reverse_capacity != std::numeric_limits<std::size_t>::max()) {
-    reverse.reserve(reverse_capacity);
-  }
+  std::vector<ReverseEntry> reverse_scratch;
+  reverse.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(reverse_capacity, m)));
+  const auto owner_key = [](const ReverseEntry& r) {
+    return std::uint64_t{r.owner};
+  };
+  const auto sort_reverse = [&] {
+    radix_sort(reverse, reverse_scratch, owner_key);
+    note_live_bytes(
+        (reverse.capacity() + reverse_scratch.capacity()) *
+            sizeof(ReverseEntry) +
+        run_buffers + edges_.capacity() * sizeof(Edge));
+  };
   const std::filesystem::path run_dir =
       storage_.spill_dir.empty() ? std::filesystem::temp_directory_path()
                                  : storage_.spill_dir;
   const auto spill_reverse = [&] {
-    std::sort(reverse.begin(), reverse.end());
+    sort_reverse();
     const auto rpath = make_temp_path(run_dir, "tlp-rev", ".tlpr");
     std::ofstream out(rpath, std::ios::binary | std::ios::trunc);
     if (!out) fail_build("cannot open reverse run '" + rpath.string() + "'");
@@ -373,12 +540,14 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
     });
     if (!reverse_runs.empty() && !reverse.empty()) spill_reverse();
     if (!reverse_runs.empty()) {
-      reverse.shrink_to_fit();
+      release(reverse);
     } else {
-      std::sort(reverse.begin(), reverse.end());
+      sort_reverse();
     }
+    release(reverse_scratch);
     local.spill_runs += reverse_runs.size();
     note_live_bytes(reverse.capacity() * sizeof(ReverseEntry) + run_buffers +
+                    edges_.capacity() * sizeof(Edge) +
                     reverse_runs.size() * kReverseBufferRecords *
                         sizeof(ReverseEntry));
 
@@ -392,11 +561,12 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
       std::uint64_t remaining = 0;
       std::vector<ReverseEntry> buf;
       std::size_t pos = 0;
-      ReverseEntry prev{};
-      bool any = false;
+      ReverseEntry current{};
+      std::uint64_t key = kNoKey;  // (owner, nb) of `current`, packed
       std::filesystem::path path;
 
-      bool next(ReverseEntry& out_entry) {
+      /// Advances `current` and `key`; false at the end of the run.
+      bool next() {
         if (pos == buf.size()) {
           if (remaining == 0) return false;
           const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
@@ -410,17 +580,18 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
           }
           remaining -= want;
         }
-        out_entry = buf[pos++];
-        if (any && !(prev < out_entry)) {
+        current = buf[pos++];
+        const std::uint64_t next_key = pack(current.owner, current.nb);
+        if (key != kNoKey && !(key < next_key)) {
           fail_build("reverse run '" + path.string() + "' out of order");
         }
-        prev = out_entry;
-        any = true;
+        key = next_key;
         return true;
       }
     };
 
     std::vector<ReverseSource> rev_sources(reverse_runs.size());
+    MergeHeap rev_heap(reverse_runs.size());
     for (std::size_t i = 0; i < reverse_runs.size(); ++i) {
       auto& src = rev_sources[i];
       src.path = reverse_runs[i];
@@ -433,53 +604,51 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
         fail_build("corrupt reverse run '" + reverse_runs[i].string() + "'");
       }
       src.remaining = count;
-    }
-
-    using RevItem = std::pair<ReverseEntry, std::size_t>;
-    const auto rev_later = [](const RevItem& a, const RevItem& b) {
-      return b.first < a.first;
-    };
-    std::priority_queue<RevItem, std::vector<RevItem>, decltype(rev_later)>
-        rev_heap(rev_later);
-    ReverseEntry re{};
-    for (std::size_t i = 0; i < rev_sources.size(); ++i) {
-      if (rev_sources[i].next(re)) rev_heap.push({re, i});
+      if (src.next()) rev_heap.push(src.key, i);
     }
     std::size_t resident_pos = 0;  // cursor over the in-RAM reverse vector
 
-    const auto next_reverse = [&](ReverseEntry& out_entry) -> bool {
+    // The next reverse record in (owner, nb) order, as its packed key and
+    // edge id; false once every reverse record is out.
+    std::uint64_t rev_key = kNoKey;
+    EdgeId rev_edge = 0;
+    const auto next_reverse = [&]() -> bool {
       if (!reverse_runs.empty()) {
         if (rev_heap.empty()) return false;
-        auto [top, src] = rev_heap.top();
-        rev_heap.pop();
-        out_entry = top;
-        ReverseEntry refill{};
-        if (rev_sources[src].next(refill)) rev_heap.push({refill, src});
+        const auto [key, src] = rev_heap.top();
+        rev_key = key;
+        rev_edge = rev_sources[src].current.edge;
+        if (rev_sources[src].next()) {
+          rev_heap.replace_top(rev_sources[src].key);
+        } else {
+          rev_heap.pop();
+        }
         return true;
       }
       if (resident_pos == reverse.size()) return false;
-      out_entry = reverse[resident_pos++];
+      const ReverseEntry& r = reverse[resident_pos++];
+      rev_key = pack(r.owner, r.nb);
+      rev_edge = r.edge;
       return true;
     };
 
-    ReverseEntry pending_rev{};
-    bool have_rev = next_reverse(pending_rev);
+    bool have_rev = next_reverse();
     std::uint64_t forward_id = 0;
     for_each_merged_edge([&](const Edge& e) {
-      // Emit every reverse record strictly before (e.u, e.v) first: those
-      // belong to owners <= e.u (reverse nb < owner keeps them ahead of
-      // the owner's forward records, which start at nb > owner).
-      while (have_rev && (pending_rev.owner < e.u ||
-                          (pending_rev.owner == e.u && pending_rev.nb < e.v))) {
-        writer.append_adjacency(pending_rev.nb, pending_rev.edge);
-        have_rev = next_reverse(pending_rev);
+      // Emit every reverse record before (e.u, e.v) first: those belong to
+      // owners <= e.u (reverse nb < owner keeps them ahead of the owner's
+      // forward records, which start at nb > owner).
+      const std::uint64_t key = edge_key(e);
+      while (have_rev && rev_key < key) {
+        writer.append_adjacency(static_cast<VertexId>(rev_key), rev_edge);
+        have_rev = next_reverse();
       }
       writer.append_adjacency(e.v, forward_id);
       ++forward_id;
     });
     while (have_rev) {
-      writer.append_adjacency(pending_rev.nb, pending_rev.edge);
-      have_rev = next_reverse(pending_rev);
+      writer.append_adjacency(static_cast<VertexId>(rev_key), rev_edge);
+      have_rev = next_reverse();
     }
 
     writer.finish();

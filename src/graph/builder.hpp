@@ -11,18 +11,18 @@
 //   * external-memory — set_memory_budget(bytes) (or the TLP_BUILD_BUDGET
 //     environment variable) bounds the builder's working set. add_edge
 //     canonicalizes immediately into a budget-sized chunk; full chunks are
-//     sorted, deduplicated, and spilled to temp run files (io::EdgeRunReader
-//     format). build_to_file() then k-way-merges the runs with global dedup
-//     straight into a streaming io::CsrFileWriter — the full edge list and
-//     the CSR never exist on the heap, so graphs far larger than RAM ingest
-//     under the cap. build() in this regime routes through a temp TLPC file
-//     and reopens it on the configured storage tier.
+//     radix-sorted, deduplicated, and spilled to temp run files
+//     (io::EdgeRunReader format). build_to_file() then k-way-merges the runs
+//     with global dedup straight into a streaming io::CsrFileWriter — the
+//     full edge list and the CSR never exist on the heap, so graphs far
+//     larger than RAM ingest under the cap. build() in this regime routes
+//     through a temp TLPC file and reopens it on the configured storage tier.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,6 +43,37 @@ struct BuildReport {
   std::size_t build_peak_bytes = 0;  ///< peak heap bytes the builder owned
 };
 
+/// Raw-id -> dense-id map of the relabelling builder: a flat open-addressing
+/// table of u64 slots, each `(raw << 32) | dense`, with linear probing from
+/// a multiplicative hash. It doubles when an insert would pass 50% load, so
+/// it holds 16-32 bytes per distinct id (48 while a doubling copies). Dense
+/// ids are handed out in first-seen order. Every raw id is a valid key,
+/// 0xFFFFFFFF included.
+class RelabelTable {
+ public:
+  /// The dense id of `raw`; a new raw id gets the next dense id, size().
+  VertexId intern(VertexId raw);
+
+  /// Distinct raw ids interned so far (= the next dense id).
+  [[nodiscard]] VertexId size() const { return size_; }
+  /// Slot count (0 or a power of two >= 16).
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// Forgets every id and releases the slots.
+  void clear();
+
+  /// Slot where the probe for `raw` starts in a table of 2^log2_slots
+  /// slots. Public so tests can build ids that collide.
+  [[nodiscard]] static std::size_t home_slot(VertexId raw,
+                                             unsigned log2_slots);
+
+ private:
+  void grow();
+
+  std::vector<std::uint64_t> slots_;
+  unsigned log2_slots_ = 0;
+  VertexId size_ = 0;
+};
+
 /// Accumulates edges and produces an immutable Graph (or a TLPC file).
 class GraphBuilder {
  public:
@@ -60,6 +91,8 @@ class GraphBuilder {
   /// are dropped at build() time, not here (so add_edge stays O(1)).
   /// External regime: canonicalization and self-loop dropping happen here;
   /// a full chunk is sorted and spilled, keeping the builder under budget.
+  /// Without relabel, the id kInvalidVertex (0xFFFFFFFF) is rejected with
+  /// std::invalid_argument: num_vertices = max id + 1 would not fit.
   void add_edge(VertexId u, VertexId v);
 
   /// Number of edges offered so far via add_edge — the pre-dedup count, NOT
@@ -99,17 +132,10 @@ class GraphBuilder {
                      BuildReport* report = nullptr);
 
  private:
-  struct ReverseEntry {  // one mapped adjacency record awaiting its owner
-    VertexId owner = 0;  // edge endpoint v (the larger one)
-    VertexId nb = 0;     // edge endpoint u
-    EdgeId edge = 0;
-    friend constexpr auto operator<=>(const ReverseEntry&,
-                                      const ReverseEntry&) = default;
-  };
-
   [[nodiscard]] bool external() const { return budget_ > 0; }
   [[nodiscard]] std::size_t chunk_capacity() const;
   void spill_chunk();
+  std::size_t clean_resident_edges();
   void note_live_bytes(std::size_t bytes);
   void reset();
   void remove_runs();
@@ -124,13 +150,13 @@ class GraphBuilder {
   StorageOptions storage_;
   std::size_t budget_ = 0;
   EdgeList edges_;  // in-memory: raw offered edges; external: current chunk
+  EdgeList scratch_;  // radix-sort buffer for edges_
   std::vector<std::filesystem::path> runs_;
   std::size_t offered_ = 0;
   std::size_t dropped_self_loops_ = 0;  // external regime: dropped at add
   std::size_t live_bytes_ = 0;
   std::size_t peak_bytes_ = 0;
-  std::unordered_map<VertexId, VertexId> relabel_map_;
-  VertexId next_id_ = 0;
+  RelabelTable relabel_table_;
   VertexId max_id_plus_one_ = 0;
 };
 

@@ -12,6 +12,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 #include "graph/csr_format.hpp"
 #include "graph/storage.hpp"
@@ -46,6 +47,53 @@ VertexId parse_id(const char*& pos, const char* end, std::size_t line_no) {
   return value;
 }
 
+/// One edge-list line [pos, end), without its '\n': leading blanks and
+/// '\r' are skipped, blank and '#'/'%' lines are ignored, else "u v" with
+/// blanks or commas between the ids; anything after v is ignored.
+void parse_edge_line(const char* pos, const char* end, std::size_t line_no,
+                     GraphBuilder& builder) {
+  while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == '\r')) ++pos;
+  if (pos == end || *pos == '#' || *pos == '%') return;
+  const VertexId u = parse_id(pos, end, line_no);
+  while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == ',')) ++pos;
+  const VertexId v = parse_id(pos, end, line_no);
+  builder.add_edge(u, v);
+}
+
+/// Feeds every edge of a text edge list to `builder`, reading the stream
+/// kEdgeListBlockBytes at a time. A line cut by the end of a block moves to
+/// the front of the buffer and completes with the next block; a line
+/// longer than the buffer doubles it.
+void add_edge_list(std::istream& in, GraphBuilder& builder) {
+  std::vector<char> buf(kEdgeListBlockBytes);
+  std::size_t begin = 0;  // first byte not yet parsed
+  std::size_t end = 0;    // one past the last byte read
+  std::size_t line_no = 0;
+  for (;;) {
+    const char* base = buf.data();
+    const auto* newline =
+        static_cast<const char*>(std::memchr(base + begin, '\n', end - begin));
+    if (newline != nullptr) {
+      parse_edge_line(base + begin, newline, ++line_no, builder);
+      begin = static_cast<std::size_t>(newline - base) + 1;
+      continue;
+    }
+    if (!in) {  // the last read hit the end: what is left is the last line
+      if (begin != end) {
+        parse_edge_line(base + begin, base + end, ++line_no, builder);
+      }
+      break;
+    }
+    std::memmove(buf.data(), base + begin, end - begin);
+    end -= begin;
+    begin = 0;
+    if (end == buf.size()) buf.resize(2 * buf.size());
+    in.read(buf.data() + end, static_cast<std::streamsize>(buf.size() - end));
+    end += static_cast<std::size_t>(in.gcount());
+  }
+  if (in.bad()) fail("I/O error while reading edge list");
+}
+
 constexpr std::array<char, 4> kMagic = {'T', 'L', 'P', 'G'};
 constexpr std::uint32_t kVersion = 1;
 
@@ -66,20 +114,7 @@ T read_pod(std::istream& in) {
 
 Graph read_edge_list(std::istream& in, BuildReport* report, bool relabel) {
   GraphBuilder builder(relabel);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const char* pos = line.data();
-    const char* end = line.data() + line.size();
-    while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == '\r')) ++pos;
-    if (pos == end || *pos == '#' || *pos == '%') continue;
-    const VertexId u = parse_id(pos, end, line_no);
-    while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == ',')) ++pos;
-    const VertexId v = parse_id(pos, end, line_no);
-    builder.add_edge(u, v);
-  }
-  if (in.bad()) fail("I/O error while reading edge list");
+  add_edge_list(in, builder);
   return builder.build(report);
 }
 
@@ -141,6 +176,9 @@ Graph read_matrix_market(std::istream& in, BuildReport* report) {
     break;
   }
   if (rows != cols) fail("adjacency matrix must be square");
+  if (rows > kInvalidVertex) {
+    fail("MatrixMarket dimension exceeds the vertex id range");
+  }
 
   GraphBuilder builder(/*relabel=*/false);
   for (std::uint64_t i = 0; i < entries; ++i) {
@@ -470,20 +508,7 @@ BuildReport convert_edge_list_to_csr(const std::filesystem::path& input,
                                      bool relabel) {
   auto in = open_input(input, /*binary=*/false);
   GraphBuilder builder(relabel);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const char* pos = line.data();
-    const char* end = line.data() + line.size();
-    while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == '\r')) ++pos;
-    if (pos == end || *pos == '#' || *pos == '%') continue;
-    const VertexId u = parse_id(pos, end, line_no);
-    while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == ',')) ++pos;
-    const VertexId v = parse_id(pos, end, line_no);
-    builder.add_edge(u, v);
-  }
-  if (in.bad()) fail("I/O error while reading edge list");
+  add_edge_list(in, builder);
   BuildReport report;
   builder.build_to_file(output, &report);
   return report;

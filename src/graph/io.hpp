@@ -13,12 +13,18 @@
 
 namespace tlp::io {
 
+/// Bytes the text edge-list readers (read_edge_list and
+/// convert_edge_list_to_csr, which share one parser) read per block.
+inline constexpr std::size_t kEdgeListBlockBytes = std::size_t{1} << 16;
+
 /// Reads a SNAP-style edge list: one "u<whitespace>v" pair per line, lines
 /// starting with '#' or '%' are comments, blank lines ignored. Directed
 /// inputs collapse to undirected (duplicates/self-loops dropped by the
 /// builder). With `relabel` (default) sparse ids are compacted to [0, n) in
 /// first-seen order; pass false to keep ids verbatim (num_vertices becomes
-/// max id + 1). Throws std::runtime_error on unparsable lines/I/O failure.
+/// max id + 1, and the id 4294967295 throws std::invalid_argument). Throws
+/// std::runtime_error, naming the line, on unparsable lines; and on I/O
+/// failure.
 Graph read_edge_list(std::istream& in, BuildReport* report = nullptr,
                      bool relabel = true);
 Graph read_edge_list_file(const std::filesystem::path& path,

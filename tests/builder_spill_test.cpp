@@ -9,8 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -62,6 +65,13 @@ struct SpillCase {
   std::size_t budget;
 };
 
+// Without this, gtest prints the raw bytes of `name`'s pointer, and test
+// listings (hence ctest test names) change with every address layout. The
+// case name is already the test-name suffix.
+void PrintTo(const SpillCase& c, std::ostream* os) {
+  *os << "budget=" << c.budget;
+}
+
 class BuilderSpill : public ::testing::TestWithParam<SpillCase> {};
 
 TEST_P(BuilderSpill, ByteIdenticalToInMemoryBuild) {
@@ -93,6 +103,16 @@ TEST_P(BuilderSpill, ByteIdenticalToInMemoryBuild) {
       EXPECT_GT(spill_report.spill_runs, 0u) << GetParam().name;
     }
     EXPECT_GT(spill_report.build_peak_bytes, 0u);
+    if (GetParam().budget >= 8 << 10) {
+      // The budget (chunk plus radix scratch, later the reverse buffer plus
+      // its scratch), the degree array, and 16 KiB of staging per run. At
+      // "tiny" the kMinChunkEdges floor, not the budget, sets the chunk.
+      const std::size_t n = ref.num_vertices();
+      EXPECT_LE(spill_report.build_peak_bytes,
+                GetParam().budget + 8 * (n + 1) +
+                    (16u << 10) * spill_report.spill_runs)
+          << GetParam().name << " relabel=" << relabel;
+    }
 
     std::filesystem::remove(ref_path);
     std::filesystem::remove(spill_path);
@@ -134,6 +154,133 @@ INSTANTIATE_TEST_SUITE_P(
         SpillCase{"boundary", 5000 * sizeof(Edge)},  // ~one chunk boundary
         SpillCase{"unbounded_stream", 0}),           // resident streaming path
     [](const auto& info) { return std::string(info.param.name); });
+
+TEST(BuilderSpillCorners, SentinelIdRejectedWithoutRelabel) {
+  // n = max id + 1 would wrap to 0 for kInvalidVertex; add_edge refuses it
+  // and leaves the builder as it was.
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{4096}}) {
+    GraphBuilder b(/*relabel=*/false);
+    b.set_memory_budget(budget);
+    b.add_edge(0, 1);
+    EXPECT_THROW(b.add_edge(2, kInvalidVertex), std::invalid_argument);
+    EXPECT_THROW(b.add_edge(kInvalidVertex, 2), std::invalid_argument);
+    EXPECT_EQ(b.edges_offered(), 1u);
+    b.add_edge(1, 2);
+    const auto path = temp_path("sentinel.tlpc");
+    b.build_to_file(path);
+    const Graph g = io::load_csr_file(path);
+    EXPECT_EQ(g.num_vertices(), 3u) << budget;
+    EXPECT_EQ(g.num_edges(), 2u) << budget;
+    std::filesystem::remove(path);
+  }
+  GraphBuilder b(/*relabel=*/false);
+  b.add_edge(0, 1);
+  EXPECT_THROW(b.add_edge(kInvalidVertex, kInvalidVertex),
+               std::invalid_argument);
+  const Graph g = b.build();
+  EXPECT_EQ(g.num_vertices(), 2u);
+  EXPECT_EQ(g.num_edges(), 1u);
+
+  // With relabel the sentinel is an ordinary raw id.
+  GraphBuilder r(/*relabel=*/true);
+  r.add_edge(kInvalidVertex, 0);
+  EXPECT_EQ(r.build().num_vertices(), 2u);
+}
+
+/// Raw ids in a fixed order: the corner ids, ids that share a home slot,
+/// then strided ids, `count` distinct ones in all, each followed by an id
+/// already seen.
+std::vector<VertexId> relabel_input(std::size_t count) {
+  std::vector<VertexId> distinct = {0, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  // Ids whose probes all start in slot 0 of the initial 16-slot table and
+  // of a 2^12-slot one: they pile up in one linear-probe chain.
+  for (VertexId raw = 1; distinct.size() < 24 && raw < (1u << 24); ++raw) {
+    if (RelabelTable::home_slot(raw, 4) == 0 &&
+        RelabelTable::home_slot(raw, 12) == 0) {
+      distinct.push_back(raw);
+    }
+  }
+  for (VertexId k = 1; distinct.size() < count; ++k) {
+    distinct.push_back((1u << 24) + k * 4096u);  // power-of-two stride
+  }
+  distinct.resize(count);
+  std::vector<VertexId> ids;
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    ids.push_back(distinct[i]);
+    ids.push_back(distinct[(i * 7) % (i + 1)]);  // an id already seen
+  }
+  return ids;
+}
+
+TEST(RelabelTable, MatchesUnorderedMapAcrossGrowth) {
+  std::vector<std::size_t> counts = {1, 2, 3, 1023, 1024, 1025};
+  for (unsigned k = 2; k <= 17; ++k) {
+    counts.push_back((std::size_t{1} << k) - 1);
+    counts.push_back((std::size_t{1} << k) + 1);
+  }
+  for (const std::size_t count : counts) {
+    const std::vector<VertexId> ids = relabel_input(count);
+    RelabelTable table;
+    std::unordered_map<VertexId, VertexId> reference;
+    for (const VertexId raw : ids) {
+      const auto [it, inserted] =
+          reference.try_emplace(raw, static_cast<VertexId>(reference.size()));
+      ASSERT_EQ(table.intern(raw), it->second)
+          << "raw " << raw << " count " << count;
+    }
+    EXPECT_EQ(table.size(), reference.size()) << count;
+    EXPECT_EQ(table.size(), count);
+    EXPECT_GE(table.capacity(), 2 * std::size_t{table.size()});
+    for (const auto& [raw, dense] : reference) {
+      ASSERT_EQ(table.intern(raw), dense) << "raw " << raw;
+    }
+    EXPECT_EQ(table.size(), count);
+    table.clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.capacity(), 0u);
+    EXPECT_EQ(table.intern(0xFFFFFFFFu), 0u);
+  }
+}
+
+TEST(RelabelTable, TlpcMatchesReferenceRelabelling) {
+  // Relabelling inside the builder must write the same file as feeding
+  // ids the test relabelled itself through a std::unordered_map.
+  for (const std::size_t count : {std::size_t{1025}, std::size_t{4097}}) {
+    const std::vector<VertexId> ids = relabel_input(count);
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{4096}}) {
+      std::unordered_map<VertexId, VertexId> reference;
+      const auto dense = [&reference](VertexId raw) {
+        return reference
+            .try_emplace(raw, static_cast<VertexId>(reference.size()))
+            .first->second;
+      };
+      GraphBuilder relabelled(/*relabel=*/true);
+      GraphBuilder verbatim(/*relabel=*/false);
+      relabelled.set_memory_budget(budget);
+      verbatim.set_memory_budget(budget);
+      const auto add = [&](VertexId u, VertexId v) {
+        relabelled.add_edge(u, v);
+        const VertexId du = dense(u);  // the builder interns u, then v
+        const VertexId dv = dense(v);
+        verbatim.add_edge(du, dv);
+      };
+      for (std::size_t i = 0; i + 1 < ids.size(); i += 3) {
+        add(ids[i], ids[i + 1]);
+      }
+      // Every id touched, so both builders see the same n.
+      for (const VertexId raw : ids) add(raw, raw);
+      const auto a = temp_path("relabel_a.tlpc");
+      const auto b = temp_path("relabel_b.tlpc");
+      relabelled.build_to_file(a);
+      verbatim.build_to_file(b);
+      EXPECT_EQ(file_bytes(a), file_bytes(b))
+          << "count " << count << " budget " << budget;
+      EXPECT_EQ(io::load_csr_file(a).num_vertices(), count);
+      std::filesystem::remove(a);
+      std::filesystem::remove(b);
+    }
+  }
+}
 
 TEST(BuilderSpillCorners, EmptyBuild) {
   GraphBuilder b;

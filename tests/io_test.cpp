@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <unistd.h>
 
 #include "gen/generators.hpp"
 #include "graph/io.hpp"
@@ -122,6 +124,125 @@ TEST(FileIo, WriteReadTempFiles) {
 
   std::filesystem::remove(text_path);
   std::filesystem::remove(bin_path);
+}
+
+/// What one text reader made of an input: its edges, or its error.
+struct ParseOutcome {
+  EdgeList edges;
+  VertexId n = 0;
+  std::string error;
+};
+
+ParseOutcome edges_of(const Graph& g) {
+  return {EdgeList(g.edges().begin(), g.edges().end()), g.num_vertices(),
+          ""};
+}
+
+ParseOutcome read_via_istream(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    return edges_of(io::read_edge_list(in, nullptr, /*relabel=*/false));
+  } catch (const std::runtime_error& e) {
+    return {{}, 0, e.what()};
+  }
+}
+
+ParseOutcome read_via_convert(const std::string& text) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string stem = "tlp_io_parse_" + std::to_string(::getpid());
+  const auto text_path = dir / (stem + ".txt");
+  const auto tlpc_path = dir / (stem + ".tlpc");
+  {
+    std::ofstream out(text_path, std::ios::binary);
+    out << text;
+  }
+  ParseOutcome outcome;
+  try {
+    io::convert_edge_list_to_csr(text_path, tlpc_path, /*relabel=*/false);
+    outcome = edges_of(io::load_csr_file(tlpc_path));
+  } catch (const std::runtime_error& e) {
+    outcome.error = e.what();
+  }
+  std::filesystem::remove(text_path);
+  std::filesystem::remove(tlpc_path);
+  return outcome;
+}
+
+/// Both readers must parse `text` to `expected` (canonical, ascending).
+void expect_both_parse(const std::string& text, const EdgeList& expected) {
+  const ParseOutcome a = read_via_istream(text);
+  const ParseOutcome b = read_via_convert(text);
+  EXPECT_EQ(a.error, "");
+  EXPECT_EQ(b.error, "");
+  EXPECT_EQ(a.edges, expected);
+  EXPECT_EQ(b.edges, expected);
+  EXPECT_EQ(a.n, b.n);
+}
+
+/// Both readers must reject `text` with the same message naming `line`.
+void expect_both_reject(const std::string& text, std::size_t line) {
+  const ParseOutcome a = read_via_istream(text);
+  const ParseOutcome b = read_via_convert(text);
+  EXPECT_EQ(a.error, b.error);
+  EXPECT_NE(a.error.find("on line " + std::to_string(line)),
+            std::string::npos)
+      << a.error;
+}
+
+/// Numbered edge lines up to 3 bytes short of the first block boundary,
+/// so the next line crosses it. Sets `lines` to the line count.
+std::string fill_to_block_boundary(std::size_t& lines) {
+  std::string text;
+  lines = 0;
+  for (VertexId i = 0; text.size() + 64 < io::kEdgeListBlockBytes; ++i) {
+    text += std::to_string(i) + ' ' + std::to_string(i + 1) + '\n';
+    ++lines;
+  }
+  // A comment line that ends exactly 3 bytes before the boundary.
+  const std::size_t pad = io::kEdgeListBlockBytes - 3 - text.size();
+  text += '#' + std::string(pad - 2, 'c') + '\n';
+  ++lines;
+  EXPECT_EQ(text.size(), io::kEdgeListBlockBytes - 3);
+  return text;
+}
+
+EdgeList path_edges(VertexId count) {
+  EdgeList edges;
+  for (VertexId i = 0; i < count; ++i) edges.push_back(Edge{i, i + 1});
+  return edges;
+}
+
+TEST(EdgeListParser, CommentsSeparatorsAndUnterminatedLastLine) {
+  expect_both_parse(
+      "# comment\n% comment\n1\t2\n3,4\n5 ,\t6\n  7 8 trailing\n\n9 10",
+      {{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}});
+  expect_both_reject("1 2\n3", 2);
+  expect_both_reject("1 2\n# c\n3 x", 3);
+}
+
+TEST(EdgeListParser, CrlfLineEndings) {
+  expect_both_parse("1 2\r\n# c\r\n\r\n3\t4\r\n5,6\r\n",
+                    {{1, 2}, {3, 4}, {5, 6}});
+  expect_both_reject("1 2\r\n3\r\n", 2);
+}
+
+TEST(EdgeListParser, LineAcrossBlockBoundary) {
+  std::size_t lines = 0;
+  const std::string head = fill_to_block_boundary(lines);
+  EdgeList expected = path_edges(static_cast<VertexId>(lines - 1));
+  expected.push_back(Edge{900000, 900001});
+  expect_both_parse(head + "900000 900001\n", expected);
+  expect_both_parse(head + "900000 900001", expected);
+  expect_both_reject(head + "900000 x00001\n1 2\n", lines + 1);
+  expect_both_reject(head + "12 \n1 2\n", lines + 1);
+}
+
+TEST(EdgeListParser, LineLongerThanBlock) {
+  const std::string comment =
+      '#' + std::string(3 * io::kEdgeListBlockBytes, 'c') + '\n';
+  expect_both_parse(comment + "1 2\n" + comment + "2 3\n",
+                    {{1, 2}, {2, 3}});
+  expect_both_reject(comment + "1 2\n" + comment + "2 y\n", 4);
 }
 
 }  // namespace

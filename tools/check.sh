@@ -113,7 +113,8 @@ echo "-- in-memory control failed under the cap, as required"
 
 # Bounded-memory ingest: the external-sort spill convert must survive a
 # heap cap below the raw canonical edge array AND byte-match the uncapped
-# in-memory reference; the fully in-memory control build must die under the
+# in-memory reference, with ids verbatim and with ids relabelled; the fully
+# in-memory control build must die under the
 # same cap (same RLIMIT_DATA rationale as the oocore leg above).
 echo "== bounded-memory ingest smoke (spill convert under ulimit -d) =="
 cmake --build build-release -j "$JOBS" --target ingest_smoke
@@ -125,6 +126,11 @@ sh -c "ulimit -d $ING_CAP_KB; \
   TLP_BUILD_BUDGET=4m build-release/tools/ingest_smoke --convert $ING_DIR"
 cmp "$ING_DIR/ingest.ref.tlpc" "$ING_DIR/ingest.spill.tlpc"
 echo "-- spill convert byte-identical to uncapped reference"
+# Same cap with relabelling on: the relabel table lives beside the chunk.
+sh -c "ulimit -d $ING_CAP_KB; TLP_BUILD_BUDGET=4m \
+  build-release/tools/ingest_smoke --convert-relabel $ING_DIR"
+cmp "$ING_DIR/ingest.ref-relabel.tlpc" "$ING_DIR/ingest.spill-relabel.tlpc"
+echo "-- relabel spill convert byte-identical to uncapped reference"
 if sh -c "ulimit -d $ING_CAP_KB; \
     build-release/tools/ingest_smoke --control $ING_DIR" 2> /dev/null; then
   echo "ingest smoke: FAIL — in-memory control survived the cap (cap too big)"

@@ -1,21 +1,27 @@
 // Bounded-memory ingest smoke driver for tools/check.sh.
 //
-// Three modes, run as separate processes so a heap cap (ulimit -d, i.e.
+// Four modes, run as separate processes so a heap cap (ulimit -d, i.e.
 // RLIMIT_DATA — see oocore_smoke.cpp for why not RLIMIT_AS) can be applied
 // to the conversion legs but not to preparation:
 //
 //   ingest_smoke --prepare <dir> [n] [m]
 //       Generates a Chung-Lu power-law graph, writes its text edge list
-//       <dir>/ingest.txt and an UNCAPPED in-memory-regime reference
-//       <dir>/ingest.ref.tlpc, and prints a suggested heap cap (KB) that
-//       is BELOW the raw canonical edge array (m x 8 bytes) — the minimum
-//       any in-memory build must materialize.
+//       <dir>/ingest.txt and two UNCAPPED in-memory-regime references,
+//       <dir>/ingest.ref.tlpc (ids verbatim) and
+//       <dir>/ingest.ref-relabel.tlpc (ids relabelled), and prints a
+//       suggested heap cap (KB) that is BELOW the raw canonical edge array
+//       (m x 8 bytes) — the minimum any in-memory build must materialize.
 //
 //   ingest_smoke --convert <dir>
 //       Streams <dir>/ingest.txt into <dir>/ingest.spill.tlpc through the
-//       external-sort builder (budget from TLP_BUILD_BUDGET). Under the cap
-//       this must succeed, and check.sh byte-compares the output against
-//       the reference.
+//       external-sort builder (budget from TLP_BUILD_BUDGET), ids verbatim.
+//       Under the cap this must succeed, and check.sh byte-compares the
+//       output against ingest.ref.tlpc.
+//
+//   ingest_smoke --convert-relabel <dir>
+//       The same with relabelling on, into <dir>/ingest.spill-relabel.tlpc
+//       (compared against ingest.ref-relabel.tlpc), so the relabel table
+//       also runs under the cap.
 //
 //   ingest_smoke --control <dir>
 //       The in-memory control: parses the same edge list into a fully
@@ -57,6 +63,8 @@ int prepare(const fs::path& dir, VertexId n, EdgeId m) {
   std::cerr << "ingest: converting uncapped in-memory reference\n";
   io::convert_edge_list_to_csr(text, dir / "ingest.ref.tlpc",
                                /*relabel=*/false);
+  io::convert_edge_list_to_csr(text, dir / "ingest.ref-relabel.tlpc",
+                               /*relabel=*/true);
 
   // The cap must sit below the raw canonical edge array (the floor for any
   // in-memory build), with room for the process baseline plus the spill
@@ -71,10 +79,13 @@ int prepare(const fs::path& dir, VertexId n, EdgeId m) {
   return 0;
 }
 
-int convert(const fs::path& dir) {
+int convert(const fs::path& dir, bool relabel) {
   const BuildReport report = io::convert_edge_list_to_csr(
-      dir / "ingest.txt", dir / "ingest.spill.tlpc", /*relabel=*/false);
-  std::cerr << "ingest: spill convert OK (" << report.kept_edges
+      dir / "ingest.txt",
+      dir / (relabel ? "ingest.spill-relabel.tlpc" : "ingest.spill.tlpc"),
+      relabel);
+  std::cerr << "ingest: spill convert" << (relabel ? " (relabel)" : "")
+            << " OK (" << report.kept_edges
             << " edges, " << report.spill_runs << " runs, builder peak "
             << report.build_peak_bytes / 1024 << "KB)\n";
   return 0;
@@ -101,6 +112,7 @@ int main(int argc, char** argv) {
   const auto usage = []() {
     std::cerr << "usage: ingest_smoke --prepare <dir> [n] [m]\n"
                  "       ingest_smoke --convert <dir>\n"
+                 "       ingest_smoke --convert-relabel <dir>\n"
                  "       ingest_smoke --control <dir>\n";
     return 2;
   };
@@ -115,7 +127,8 @@ int main(int argc, char** argv) {
           argc > 4 ? static_cast<EdgeId>(std::stoull(argv[4])) : 4000000;
       return prepare(dir, n, m);
     }
-    if (mode == "--convert") return convert(dir);
+    if (mode == "--convert") return convert(dir, /*relabel=*/false);
+    if (mode == "--convert-relabel") return convert(dir, /*relabel=*/true);
     if (mode == "--control") return control(dir);
     return usage();
   } catch (const std::bad_alloc&) {
