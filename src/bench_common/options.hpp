@@ -6,8 +6,7 @@
 //   TLP_BENCH_PS      comma-separated partition counts (default: 10,15,20)
 //   TLP_BENCH_THREADS comma-separated worker counts for the thread-scaling
 //                     sweeps, e.g. "1,2,4,8" (default: 1,2,4,8)
-//   TLP_BENCH_STORAGE storage tier for every bench graph:
-//                     in_memory | mmap | hybrid[:tau[:pinned_bytes]]
+//   TLP_BENCH_STORAGE storage tier for every bench graph: in_memory | mmap
 //                     (default: in_memory; applied by make_dataset)
 //   TLP_FULL_SCALE    if set, G9 is built at its full 7M-edge size
 #pragma once

@@ -509,8 +509,8 @@ class MultiRun {
       const auto hops = g_.neighbor_ids(v);
       for (std::size_t i = 0; i < hops.size(); ++i) {
         if (i + 1 < hops.size()) {
-          // Same rung-ahead pair as the sequential run, plus the mapped
-          // tiers' MADV_WILLNEED staging of the next adjacency span.
+          // Same rung-ahead pair as the sequential run, plus the mmap
+          // tier's MADV_WILLNEED staging of the next adjacency span.
           g_.prefetch_neighbor_ids(hops[i + 1]);
           g_.prefetch_adjacency(hops[i + 1]);
         }

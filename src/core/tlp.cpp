@@ -179,7 +179,7 @@ class GrowthRun {
       for (std::size_t i = 0; i < hops.size(); ++i) {
         if (i + 1 < hops.size()) {
           // One rung ahead on both ladders: an SW prefetch for the next
-          // list's head line, and (mapped tiers only) a page-granular
+          // list's head line, and (mmap tier only) a page-granular
           // MADV_WILLNEED so the kernel stages the whole span behind it.
           g_.prefetch_neighbor_ids(hops[i + 1]);
           g_.prefetch_adjacency(hops[i + 1]);

@@ -606,7 +606,7 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
       src.remaining = count;
       if (src.next()) rev_heap.push(src.key, i);
     }
-    std::size_t resident_pos = 0;  // cursor over the in-RAM reverse vector
+    std::size_t in_ram_pos = 0;  // cursor over the in-RAM reverse vector
 
     // The next reverse record in (owner, nb) order, as its packed key and
     // edge id; false once every reverse record is out.
@@ -625,8 +625,8 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
         }
         return true;
       }
-      if (resident_pos == reverse.size()) return false;
-      const ReverseEntry& r = reverse[resident_pos++];
+      if (in_ram_pos == reverse.size()) return false;
+      const ReverseEntry& r = reverse[in_ram_pos++];
       rev_key = pack(r.owner, r.nb);
       rev_edge = r.edge;
       return true;

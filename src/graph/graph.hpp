@@ -6,13 +6,11 @@
 // (needed by the TLP Stage-I score, Eq. 7 of the paper) a linear merge.
 //
 // Graph is a facade over a GraphStorage policy (graph/storage.hpp): the
-// CSR arrays may live in heap vectors (default), in a read-only mapped
-// CSR file, or split by degree between the two (hybrid out-of-core tier).
-// The facade caches the storage's raw-pointer StorageView by value, and
-// every accessor picks the resident or mapped base with a pure degree
-// test — single-tier storages alias both bases and the test is
-// always-true, preserving the pre-seam hot-path codegen. Copying a Graph
-// shares the immutable storage (shallow, cheap, thread-safe for reads).
+// CSR arrays live in heap vectors (default) or in a read-only mapped CSR
+// file (out-of-core tier). The facade caches the storage's raw-pointer
+// StorageView by value, and every adjacency accessor is base + offsets[v]
+// on either tier. Copying a Graph shares the immutable storage (shallow,
+// cheap, thread-safe for reads).
 #pragma once
 
 #include <cassert>
@@ -32,7 +30,7 @@ namespace tlp {
 
 /// Immutable undirected graph. Construct via GraphBuilder (which deduplicates
 /// and canonicalizes), Graph::from_edges for already-clean input, or
-/// io::load_csr_file / io::with_tier for the out-of-core storage tiers.
+/// io::load_csr_file / io::with_tier for the out-of-core mmap tier.
 class Graph {
  public:
   Graph() = default;
@@ -67,12 +65,7 @@ class Graph {
   [[nodiscard]] std::span<const Neighbor> neighbors(VertexId v) const {
     assert(v < view_.num_vertices);
     const std::size_t begin = view_.offsets[v];
-    const std::size_t deg = view_.offsets[v + 1] - begin;
-    if (is_resident(deg)) {
-      const Neighbor* base = view_.resident_adj + view_.resident_pos[v];
-      return {base, base + deg};
-    }
-    return {view_.mapped_adj + begin, deg};
+    return {view_.adj + begin, view_.offsets[v + 1] - begin};
   }
 
   /// Vertex-only view of neighbors(v): same order, 4-byte stride. The
@@ -82,12 +75,7 @@ class Graph {
   [[nodiscard]] std::span<const VertexId> neighbor_ids(VertexId v) const {
     assert(v < view_.num_vertices);
     const std::size_t begin = view_.offsets[v];
-    const std::size_t deg = view_.offsets[v + 1] - begin;
-    if (is_resident(deg)) {
-      const VertexId* base = view_.resident_ids + view_.resident_pos[v];
-      return {base, base + deg};
-    }
-    return {view_.mapped_ids + begin, deg};
+    return {view_.ids + begin, view_.offsets[v + 1] - begin};
   }
 
   [[nodiscard]] std::size_t degree(VertexId v) const {
@@ -139,20 +127,15 @@ class Graph {
   /// tier, including unmapped pages of an mmap-tier CSR.
   void prefetch_neighbor_ids(VertexId v) const {
     assert(v < view_.num_vertices);
-    const std::size_t begin = view_.offsets[v];
-    const std::size_t deg = view_.offsets[v + 1] - begin;
-    const VertexId* base = is_resident(deg)
-                               ? view_.resident_ids + view_.resident_pos[v]
-                               : view_.mapped_ids + begin;
-    simd::prefetch_read(base);
+    simd::prefetch_read(view_.ids + view_.offsets[v]);
   }
 
   /// Hints the kernel that v's adjacency (both the Neighbor records and
   /// the vertex-only mirror) will be walked soon: MADV_WILLNEED on the
   /// mapped span. The growth hot paths call this one frontier rung ahead
   /// of the two-hop counting scan. No-op for in-memory graphs (the common
-  /// case pays one predictable branch), for resident hybrid vertices, for
-  /// spans under a page, when TLP_MADVISE is off, and off Linux.
+  /// case pays one predictable branch), for spans under a page, when
+  /// TLP_MADVISE is off, and off Linux.
   void prefetch_adjacency(VertexId v) const {
     if (mapped_) storage_->prefetch_adjacency(v);
   }
@@ -181,20 +164,13 @@ class Graph {
   }
 
   /// Human-readable one-line summary, e.g. "Graph(n=1005, m=25571)";
-  /// non-default storage tiers are tagged: "Graph(n=…, m=…, storage=mmap)".
+  /// the mmap tier is tagged: "Graph(n=…, m=…, storage=mmap)".
   [[nodiscard]] std::string summary() const;
 
  private:
-  /// The storage-tier routing rule: a pure function of the degree (see
-  /// StorageView). Single-tier views make this always-true.
-  [[nodiscard]] bool is_resident(std::size_t deg) const {
-    return deg <= view_.resident_degree_cap ||
-           deg >= view_.pinned_min_degree;
-  }
-
   std::shared_ptr<const GraphStorage> storage_;
   StorageView view_;  // cached by value: hot accessors never indirect
-  bool mapped_ = false;  // true iff a non-in-memory tier backs the view
+  bool mapped_ = false;  // true iff the mmap tier backs the view
 };
 
 }  // namespace tlp

@@ -57,8 +57,8 @@ Graph read_binary_file(const std::filesystem::path& path);
 
 /// Versioned binary CSR format ("TLPC": magic, version, endianness guard,
 /// section table — see graph/csr_format.hpp): the Graph's CSR arrays
-/// verbatim in 64-byte-aligned sections, so the mmap/hybrid storage tiers
-/// can serve adjacency spans straight from the file. Round-trips exactly
+/// verbatim in 64-byte-aligned sections, so the mmap storage tier can
+/// serve adjacency spans straight from the file. Round-trips exactly
 /// (same edge ids, same adjacency order, hence byte-identical partitions).
 void write_csr_file(const Graph& g, const std::filesystem::path& path);
 
@@ -130,7 +130,7 @@ class CsrFileWriter {
 };
 
 /// Opens a TLPC file on the tier `options` selects (kInMemory streams into
-/// heap vectors; kMmap/kHybrid map the file read-only). Throws
+/// heap vectors; kMmap maps the file read-only). Throws
 /// std::runtime_error on a corrupted header or (with options.verify)
 /// payload.
 Graph load_csr_file(const std::filesystem::path& path,

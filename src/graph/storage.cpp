@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "graph/csr_format.hpp"
 
-// File mapping is POSIX-only; elsewhere the mapped tiers fall back to
+// File mapping is POSIX-only; elsewhere the mmap tier falls back to
 // reading the file into heap memory (correct, but the footprint is then
 // resident — footprint() reports it honestly as such).
 #if defined(__unix__) || defined(__APPLE__)
@@ -44,7 +41,7 @@ std::atomic<bool> g_madvise_enabled{[] {
   return !(s == "off" || s == "0" || s == "false");
 }()};
 
-/// Advice kinds the tiers use; mapped to MADV_* on Linux.
+/// Advice kinds the mmap tier uses; mapped to MADV_* on Linux.
 enum class Advice { kSequential, kNormal, kWillNeed, kDontNeed };
 
 /// Issues madvise over [addr, addr+len) rounded out to page boundaries.
@@ -82,7 +79,7 @@ bool advise_range(const void* addr, std::size_t len, Advice advice) {
 #endif
 }
 
-/// A mapped-tier vertex span must clear this floor before a WILLNEED is
+/// An mmap-tier vertex span must clear this floor before a WILLNEED is
 /// worth its syscall: one page of adjacency payload.
 constexpr std::size_t kMinPrefetchBytes = 4096;
 
@@ -130,7 +127,7 @@ class MappedFile {
     f.size_ = static_cast<std::size_t>(st.st_size);
     if (f.size_ > 0) {
       // PROT_READ + MAP_SHARED: clean file-backed pages the kernel may
-      // reclaim at will — the property the out-of-core tiers exist for.
+      // reclaim at will — the property the out-of-core tier exists for.
       void* base = ::mmap(nullptr, f.size_, PROT_READ, MAP_SHARED, fd, 0);
       if (base == MAP_FAILED) {
         ::close(fd);
@@ -179,10 +176,7 @@ const T* section_ptr(const MappedFile& file, const io::csr::SectionRef& s) {
   return reinterpret_cast<const T*>(file.data() + s.offset);
 }
 
-/// Heap vectors; the zero-overhead default tier. Both pointer sets alias
-/// the same arrays and both degree thresholds sit at SIZE_MAX, so the
-/// facade's residency test is always-true and the codegen matches the
-/// pre-seam concrete class.
+/// Heap vectors; the default tier.
 class InMemoryStorage final : public GraphStorage {
  public:
   InMemoryStorage(VertexId num_vertices, std::vector<std::size_t> offsets,
@@ -195,11 +189,8 @@ class InMemoryStorage final : public GraphStorage {
     view_.num_vertices = num_vertices;
     view_.num_edges = static_cast<EdgeId>(edges_.size());
     view_.offsets = offsets_.data();
-    view_.resident_pos = offsets_.data();
-    view_.resident_adj = adjacency_.data();
-    view_.resident_ids = adjacency_ids_.data();
-    view_.mapped_adj = adjacency_.data();
-    view_.mapped_ids = adjacency_ids_.data();
+    view_.adj = adjacency_.data();
+    view_.ids = adjacency_ids_.data();
     view_.edges = edges_.data();
   }
 
@@ -232,11 +223,8 @@ class MmapStorage final : public GraphStorage {
     view_.num_vertices = static_cast<VertexId>(h.num_vertices);
     view_.num_edges = h.num_edges;
     view_.offsets = section_ptr<std::size_t>(file_, h.offsets);
-    view_.resident_pos = view_.offsets;
-    view_.resident_adj = section_ptr<Neighbor>(file_, h.adjacency);
-    view_.resident_ids = section_ptr<VertexId>(file_, h.adjacency_ids);
-    view_.mapped_adj = view_.resident_adj;
-    view_.mapped_ids = view_.resident_ids;
+    view_.adj = section_ptr<Neighbor>(file_, h.adjacency);
+    view_.ids = section_ptr<VertexId>(file_, h.adjacency_ids);
     view_.edges = section_ptr<Edge>(file_, h.edges);
   }
 
@@ -254,9 +242,9 @@ class MmapStorage final : public GraphStorage {
     const std::size_t deg = view_.offsets[v + 1] - begin;
     if (deg * sizeof(Neighbor) < kMinPrefetchBytes) return;
     std::uint64_t issued = 0;
-    issued += advise_range(view_.mapped_adj + begin, deg * sizeof(Neighbor),
+    issued += advise_range(view_.adj + begin, deg * sizeof(Neighbor),
                            Advice::kWillNeed);
-    issued += advise_range(view_.mapped_ids + begin, deg * sizeof(VertexId),
+    issued += advise_range(view_.ids + begin, deg * sizeof(VertexId),
                            Advice::kWillNeed);
     madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
   }
@@ -265,9 +253,9 @@ class MmapStorage final : public GraphStorage {
     if (!file_.file_backed()) return;
     const std::size_t entries = view_.offsets[view_.num_vertices];
     std::uint64_t issued = 0;
-    issued += advise_range(view_.mapped_adj, entries * sizeof(Neighbor),
+    issued += advise_range(view_.adj, entries * sizeof(Neighbor),
                            Advice::kDontNeed);
-    issued += advise_range(view_.mapped_ids, entries * sizeof(VertexId),
+    issued += advise_range(view_.ids, entries * sizeof(VertexId),
                            Advice::kDontNeed);
     madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
   }
@@ -281,155 +269,6 @@ class MmapStorage final : public GraphStorage {
   StorageView view_;
   mutable std::atomic<std::uint64_t> madvise_calls_{0};
 };
-
-/// Degree split: adjacency of vertices with degree <= tau is copied into
-/// packed resident arrays; high-degree adjacency is served from the mapped
-/// file, except the highest-degree hubs, which are pinned back into the
-/// resident arrays under `pinned_cache_bytes`. The pin set is degree-pure
-/// (whole degree classes), so residency stays a function of the degree:
-///
-///     resident(v)  <=>  deg(v) <= tau  ||  deg(v) >= pinned_min_degree
-///
-/// which is exactly the test the Graph facade evaluates per access — no
-/// per-vertex side lookup, and byte-identical adjacency content either way.
-class HybridStorage final : public GraphStorage {
- public:
-  HybridStorage(MappedFile file, const Header& h, const StorageOptions& opts,
-                std::uint64_t advise_calls)
-      : file_(std::move(file)), madvise_calls_(advise_calls) {
-    const auto n = static_cast<std::size_t>(h.num_vertices);
-    const std::size_t tau = opts.degree_threshold;
-    const std::uint64_t* moff = section_ptr<std::uint64_t>(file_, h.offsets);
-    const Neighbor* madj = section_ptr<Neighbor>(file_, h.adjacency);
-    const VertexId* mids = section_ptr<VertexId>(file_, h.adjacency_ids);
-
-    // Offsets stay resident: every accessor reads them, and at 8 bytes per
-    // vertex they are a rounding error next to the adjacency itself.
-    offsets_.assign(moff, moff + n + 1);
-
-    // Pin budget: walk degree classes from the top, admitting a whole class
-    // only if its packed copy (Neighbor + mirror entry per slot) fits.
-    std::map<std::size_t, std::uint64_t> class_entries;  // degree -> slots
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t deg = offsets_[v + 1] - offsets_[v];
-      if (deg > tau) class_entries[deg] += deg;
-    }
-    constexpr std::size_t kBytesPerSlot = sizeof(Neighbor) + sizeof(VertexId);
-    std::size_t budget = opts.pinned_cache_bytes;
-    for (auto it = class_entries.rbegin(); it != class_entries.rend(); ++it) {
-      const std::uint64_t cost = it->second * kBytesPerSlot;
-      if (cost > budget) break;
-      budget -= static_cast<std::size_t>(cost);
-      pinned_min_degree_ = it->first;
-    }
-
-    // Packed resident layout. resident_pos_ entries for mapped vertices are
-    // never read (the facade's degree test routes them to the mapped base).
-    resident_pos_.assign(n, 0);
-    std::size_t cursor = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t deg = offsets_[v + 1] - offsets_[v];
-      if (deg <= tau || deg >= pinned_min_degree_) {
-        resident_pos_[v] = cursor;
-        cursor += deg;
-      }
-    }
-    resident_adj_.resize(cursor);
-    resident_ids_.resize(cursor);
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t deg = offsets_[v + 1] - offsets_[v];
-      if (deg == 0 || (deg > tau && deg < pinned_min_degree_)) continue;
-      std::memcpy(resident_adj_.data() + resident_pos_[v],
-                  madj + offsets_[v], deg * sizeof(Neighbor));
-      std::memcpy(resident_ids_.data() + resident_pos_[v],
-                  mids + offsets_[v], deg * sizeof(VertexId));
-    }
-
-    view_.num_vertices = static_cast<VertexId>(h.num_vertices);
-    view_.num_edges = h.num_edges;
-    view_.offsets = offsets_.data();
-    view_.resident_pos = resident_pos_.data();
-    view_.resident_adj = resident_adj_.data();
-    view_.resident_ids = resident_ids_.data();
-    view_.mapped_adj = madj;
-    view_.mapped_ids = mids;
-    view_.edges = section_ptr<Edge>(file_, h.edges);
-    view_.resident_degree_cap = tau;
-    view_.pinned_min_degree = pinned_min_degree_;
-  }
-
-  [[nodiscard]] StorageTier tier() const override {
-    return StorageTier::kHybrid;
-  }
-  [[nodiscard]] const StorageView& view() const override { return view_; }
-  [[nodiscard]] MemoryFootprint footprint() const override {
-    MemoryFootprint fp;
-    fp.resident_bytes = vector_bytes(offsets_) + vector_bytes(resident_pos_) +
-                        vector_bytes(resident_adj_) +
-                        vector_bytes(resident_ids_);
-    (file_.file_backed() ? fp.mapped_bytes : fp.resident_bytes) +=
-        file_.size();
-    return fp;
-  }
-
-  void prefetch_adjacency(VertexId v) const override {
-    if (!file_.file_backed()) return;
-    const std::size_t begin = offsets_[v];
-    const std::size_t deg = offsets_[v + 1] - begin;
-    // Resident vertices (small degree classes and pinned hubs) never fault;
-    // only the mid-band served from the mapping benefits from a WILLNEED.
-    if (deg <= view_.resident_degree_cap || deg >= view_.pinned_min_degree) {
-      return;
-    }
-    if (deg * sizeof(Neighbor) < kMinPrefetchBytes) return;
-    std::uint64_t issued = 0;
-    issued += advise_range(view_.mapped_adj + begin, deg * sizeof(Neighbor),
-                           Advice::kWillNeed);
-    issued += advise_range(view_.mapped_ids + begin, deg * sizeof(VertexId),
-                           Advice::kWillNeed);
-    madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
-  }
-
-  void release_cold_pages() const override {
-    if (!file_.file_backed()) return;
-    const std::size_t entries = offsets_[view_.num_vertices];
-    std::uint64_t issued = 0;
-    issued += advise_range(view_.mapped_adj, entries * sizeof(Neighbor),
-                           Advice::kDontNeed);
-    issued += advise_range(view_.mapped_ids, entries * sizeof(VertexId),
-                           Advice::kDontNeed);
-    madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t madvise_calls() const override {
-    return madvise_calls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  MappedFile file_;
-  std::vector<std::size_t> offsets_;
-  std::vector<std::size_t> resident_pos_;
-  std::vector<Neighbor> resident_adj_;
-  std::vector<VertexId> resident_ids_;
-  std::size_t pinned_min_degree_ = std::numeric_limits<std::size_t>::max();
-  StorageView view_;
-  mutable std::atomic<std::uint64_t> madvise_calls_{0};
-};
-
-std::size_t parse_size(std::string_view token, std::string_view spec) {
-  if (token == "inf" || token == "max") {
-    return std::numeric_limits<std::size_t>::max();
-  }
-  std::size_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || ptr != token.data() + token.size()) {
-    throw std::invalid_argument("tlp: bad storage spec '" + std::string(spec) +
-                                "': '" + std::string(token) +
-                                "' is not a size");
-  }
-  return value;
-}
 
 }  // namespace
 
@@ -447,45 +286,20 @@ std::string_view storage_tier_name(StorageTier tier) {
       return "in_memory";
     case StorageTier::kMmap:
       return "mmap";
-    case StorageTier::kHybrid:
-      return "hybrid";
   }
   return "unknown";
 }
 
 StorageOptions StorageOptions::parse(std::string_view spec) {
-  std::vector<std::string_view> tokens;
-  for (std::string_view rest = spec;;) {
-    const std::size_t colon = rest.find(':');
-    tokens.push_back(rest.substr(0, colon));
-    if (tokens.back().empty()) {
-      throw std::invalid_argument("tlp: bad storage spec '" +
-                                  std::string(spec) + "': empty field");
-    }
-    if (colon == std::string_view::npos) break;
-    rest = rest.substr(colon + 1);
-  }
   StorageOptions o;
-  const std::string_view tier = tokens.front();
-  if (tier == "in_memory" || tier == "memory") {
+  if (spec == "in_memory") {
     o.tier = StorageTier::kInMemory;
-  } else if (tier == "mmap") {
+  } else if (spec == "mmap") {
     o.tier = StorageTier::kMmap;
-  } else if (tier == "hybrid") {
-    o.tier = StorageTier::kHybrid;
   } else {
-    throw std::invalid_argument(
-        "tlp: bad storage spec '" + std::string(spec) +
-        "': expected in_memory | mmap | hybrid[:tau[:pinned_bytes]]");
-  }
-  // tau/pinned_bytes only mean something on the hybrid tier.
-  const std::size_t max_fields = o.tier == StorageTier::kHybrid ? 3 : 1;
-  if (tokens.size() > max_fields) {
     throw std::invalid_argument("tlp: bad storage spec '" + std::string(spec) +
-                                "': trailing fields");
+                                "': expected in_memory | mmap");
   }
-  if (tokens.size() > 1) o.degree_threshold = parse_size(tokens[1], spec);
-  if (tokens.size() > 2) o.pinned_cache_bytes = parse_size(tokens[2], spec);
   return o;
 }
 
@@ -568,13 +382,7 @@ std::shared_ptr<const GraphStorage> open_csr_storage(
                                      Advice::kNormal);
       }
     }
-    if (options.tier == StorageTier::kMmap) {
-      storage = std::make_shared<MmapStorage>(std::move(file), h,
-                                              advise_calls);
-    } else {
-      storage = std::make_shared<HybridStorage>(std::move(file), h, options,
-                                                advise_calls);
-    }
+    storage = std::make_shared<MmapStorage>(std::move(file), h, advise_calls);
   }
   if (unlink_after_open) {
     // POSIX keeps the mapped data reachable until the last mapping goes

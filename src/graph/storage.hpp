@@ -4,30 +4,20 @@
 // arrays (offsets, Neighbor adjacency, the vertex-only mirror, the
 // canonical edge list) and says where each byte resides:
 //
-//   * in_memory — everything in heap vectors (the zero-overhead default;
-//     exactly the layout Graph owned before the seam existed).
+//   * in_memory — everything in heap vectors (the default).
 //   * mmap     — everything served read-only from a versioned binary CSR
 //     file (io::write_csr_file / io::load_csr_file); the page cache is the
 //     working set, so cold graphs cost no resident memory until touched.
-//   * hybrid   — HEP-style degree split: adjacency of vertices with
-//     degree <= tau stays resident (packed copies), high-degree adjacency
-//     is served from the mapped file, and the highest-degree hubs are
-//     pinned back into resident memory under a byte budget (they are the
-//     most frequently re-scanned lists, so pinning them bounds repeated
-//     page-fault cost).
 //
 // The seam is pointer-shaped, not virtual-call-shaped: GraphStorage
 // publishes a StorageView of raw pointers once, Graph caches it by value,
-// and the hot accessors (neighbors / neighbor_ids / degree / edge) compile
-// to the same loads as the pre-seam concrete class. Tier selection inside
-// an accessor is a pure function of the vertex degree, so it never needs a
-// per-vertex side table.
+// and the hot accessors (neighbors / neighbor_ids / degree / edge) are
+// plain base + offset loads on either tier.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -49,13 +39,12 @@ struct Neighbor {
 enum class StorageTier : std::uint8_t {
   kInMemory = 0,  ///< heap vectors (default)
   kMmap = 1,      ///< everything read-only from a mapped CSR file
-  kHybrid = 2,    ///< degree <= tau resident, hubs pinned, rest mapped
 };
 
-/// Short stable name ("in_memory", "mmap", "hybrid").
+/// Short stable name ("in_memory", "mmap").
 [[nodiscard]] std::string_view storage_tier_name(StorageTier tier);
 
-/// Process-wide switch for the madvise hints the mapped tiers issue
+/// Process-wide switch for the madvise hints the mmap tier issues
 /// (MADV_SEQUENTIAL over the load-time validation scan, MADV_WILLNEED
 /// adjacency prefetch, MADV_DONTNEED cold-span release). Initialized from
 /// the TLP_MADVISE environment variable ("off"/"0"/"false" disables;
@@ -71,18 +60,6 @@ void set_madvise_enabled(bool enabled);
 struct StorageOptions {
   StorageTier tier = StorageTier::kInMemory;
 
-  /// Hybrid only: vertices with degree <= degree_threshold keep their
-  /// adjacency resident. 0 = only isolated vertices (and pinned hubs);
-  /// SIZE_MAX = everything resident (hybrid degenerates to in-memory
-  /// copies served through the hybrid machinery).
-  std::size_t degree_threshold = 64;
-
-  /// Hybrid only: byte budget for pinning the highest-degree vertices'
-  /// adjacency back into resident memory. The pin set is degree-pure
-  /// (all vertices of a degree class or none), so tier selection stays a
-  /// function of the degree alone. 0 disables pinning.
-  std::size_t pinned_cache_bytes = std::size_t{1} << 20;
-
   /// io::with_tier: where the spill CSR file is written. Empty = the
   /// system temp directory.
   std::filesystem::path spill_dir;
@@ -97,15 +74,16 @@ struct StorageOptions {
   /// pass at open; disable only for trusted files on the hot open path.
   bool verify = true;
 
-  /// Parses "in_memory" | "mmap" | "hybrid[:tau[:pinned_bytes]]", e.g.
-  /// "hybrid:16:1048576". Throws std::invalid_argument on anything else.
+  /// Parses exactly "in_memory" or "mmap". Throws std::invalid_argument
+  /// on anything else.
   [[nodiscard]] static StorageOptions parse(std::string_view spec);
 };
 
 /// Resident vs file-backed byte accounting for one Graph.
 struct MemoryFootprint {
-  /// Heap/anonymous bytes the graph keeps resident (vectors, pinned
-  /// copies). This is what an out-of-core memory budget must cover.
+  /// Heap/anonymous bytes the graph keeps resident (vectors, or the heap
+  /// copy a non-POSIX mmap tier falls back to). This is what an
+  /// out-of-core memory budget must cover.
   std::size_t resident_bytes = 0;
   /// File-backed mapped bytes: address space, but reclaimable clean pages
   /// that cost resident memory only while touched.
@@ -116,36 +94,20 @@ struct MemoryFootprint {
   }
 };
 
-/// The raw-pointer view Graph caches by value. A vertex v's adjacency is
-/// served from the resident arrays iff
-///
-///     degree(v) <= resident_degree_cap  ||  degree(v) >= pinned_min_degree
-///
-/// and from the mapped arrays otherwise. Single-tier storages set both
-/// thresholds to SIZE_MAX and alias the mapped pointers to the resident
-/// ones, so the rule degenerates to "always the one array" and the
-/// branch predicts perfectly.
+/// The raw-pointer view Graph caches by value. Vertex v's adjacency is
+/// adj[offsets[v] .. offsets[v+1]) and its vertex-only mirror is the same
+/// range of ids, on either tier.
 struct StorageView {
   VertexId num_vertices = 0;
   EdgeId num_edges = 0;
 
   /// Global CSR offsets, n+1 entries: degree(v) = offsets[v+1]-offsets[v].
   const std::size_t* offsets = nullptr;
-  /// Packed resident positions, n entries: vertex v's resident adjacency
-  /// starts at resident_pos[v]. Single-tier storages alias this to
-  /// `offsets` (global position == resident position).
-  const std::size_t* resident_pos = nullptr;
-
-  const Neighbor* resident_adj = nullptr;
-  const VertexId* resident_ids = nullptr;
-  const Neighbor* mapped_adj = nullptr;
-  const VertexId* mapped_ids = nullptr;
-
+  /// Neighbor adjacency and its vertex-only mirror, offsets[n] entries.
+  const Neighbor* adj = nullptr;
+  const VertexId* ids = nullptr;
   /// Canonical edge list, num_edges entries.
   const Edge* edges = nullptr;
-
-  std::size_t resident_degree_cap = std::numeric_limits<std::size_t>::max();
-  std::size_t pinned_min_degree = std::numeric_limits<std::size_t>::max();
 };
 
 /// Owns the CSR arrays and publishes the pointer view. Implementations are
@@ -160,10 +122,9 @@ class GraphStorage {
   [[nodiscard]] virtual MemoryFootprint footprint() const = 0;
 
   /// Hints the kernel that v's adjacency span will be touched soon
-  /// (MADV_WILLNEED). Mapped tiers issue it only for vertices actually
-  /// served from the mapping and only when the span clears a page-sized
-  /// floor (per-vertex syscalls on short lists would cost more than the
-  /// faults they save); everywhere else this is a no-op.
+  /// (MADV_WILLNEED). The mmap tier issues it only when the span clears a
+  /// page-sized floor (per-vertex syscalls on short lists would cost more
+  /// than the faults they save); everywhere else this is a no-op.
   virtual void prefetch_adjacency(VertexId /*v*/) const {}
 
   /// Releases the mapped adjacency spans back to the kernel
@@ -175,7 +136,7 @@ class GraphStorage {
   [[nodiscard]] virtual std::uint64_t madvise_calls() const { return 0; }
 };
 
-/// Wraps already-built CSR arrays (the zero-overhead default tier).
+/// Wraps already-built CSR arrays (the default tier).
 /// Preconditions (checked by assert only; Graph::from_edges builds them
 /// correctly): offsets.size() == n+1, adjacency/ids sized offsets[n],
 /// ids mirrors adjacency[i].vertex.
@@ -186,7 +147,7 @@ class GraphStorage {
 
 /// Opens a versioned binary CSR file (io::write_csr_file) on the tier the
 /// options select. kInMemory streams the sections into heap vectors;
-/// kMmap/kHybrid map the file read-only. Throws std::runtime_error on a
+/// kMmap maps the file read-only. Throws std::runtime_error on a
 /// malformed or corrupted file. `unlink_after_open` removes the directory
 /// entry once the file is safely open/mapped (POSIX keeps the data alive
 /// until unmapped) — used by io::with_tier spill files.

@@ -116,7 +116,6 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
   const std::vector<std::pair<std::string, StorageOptions>> tiers = {
       {"in_memory", StorageOptions::parse("in_memory")},
       {"mmap", StorageOptions::parse("mmap")},
-      {"hybrid:8", StorageOptions::parse("hybrid:8")},
   };
   for (const Kernel k : supported_kernels()) {
     ASSERT_TRUE(intersect::set_active(k));

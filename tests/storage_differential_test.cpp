@@ -1,17 +1,15 @@
 // Differential contract of the storage-policy seam: every partitioner
 // must produce byte-identical assignments whether the CSR lives in heap
-// vectors, in a read-only mapped file, or split across both — the tier is
-// invisible to the algorithms by construction, and this suite pins that.
+// vectors or in a read-only mapped file — the tier is invisible to the
+// algorithms by construction, and this suite pins that.
 //
-// Sweep: {tlp, tlp_r0.5, multi_tlp at threads {1,2,8} x shards {1,4}}
-// x {in_memory, mmap, hybrid at tau in {0, median-degree, inf}}, plus a
-// registry-wide single-config pass over every registered algorithm.
+// Sweep: {tlp, tlp_r0.5, multi_tlp at threads {1,2,8}}
+// x {in_memory, mmap}, plus a registry-wide single-config pass over every
+// registered algorithm.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <filesystem>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,38 +27,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
-
-std::size_t median_degree(const Graph& g) {
-  std::vector<std::size_t> degrees(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) degrees[v] = g.degree(v);
-  if (degrees.empty()) return 0;
-  std::nth_element(degrees.begin(), degrees.begin() + degrees.size() / 2,
-                   degrees.end());
-  return degrees[degrees.size() / 2];
-}
-
-/// The tier sweep the issue pins: in-memory reference plus mmap and hybrid
-/// at tau in {0, median-degree, inf} (pinning on and off at tau=0 to
-/// exercise the pinned-hub path).
-std::vector<std::pair<std::string, StorageOptions>> tier_sweep(
-    const Graph& reference) {
-  const std::size_t median = median_degree(reference);
-  std::vector<std::pair<std::string, StorageOptions>> tiers;
-  tiers.emplace_back("in_memory", StorageOptions::parse("in_memory"));
-  tiers.emplace_back("mmap", StorageOptions::parse("mmap"));
-  for (const std::size_t tau : {std::size_t{0}, median, kMax}) {
-    StorageOptions o;
-    o.tier = StorageTier::kHybrid;
-    o.degree_threshold = tau;
-    tiers.emplace_back("hybrid:" + std::to_string(tau), o);
-  }
-  StorageOptions unpinned;
-  unpinned.tier = StorageTier::kHybrid;
-  unpinned.degree_threshold = 0;
-  unpinned.pinned_cache_bytes = 0;
-  tiers.emplace_back("hybrid:0:unpinned", unpinned);
-  return tiers;
+/// The tier sweep: the in-memory reference plus the mmap tier.
+std::vector<std::pair<std::string, StorageOptions>> tier_sweep() {
+  return {{"in_memory", StorageOptions::parse("in_memory")},
+          {"mmap", StorageOptions::parse("mmap")}};
 }
 
 class StorageDifferential : public ::testing::Test {
@@ -101,7 +71,7 @@ TEST_F(StorageDifferential, TlpAndResidualAcrossTiers) {
   for (const TlpPartitioner& partitioner : algos) {
     const EdgePartition expected =
         partitioner.partition(reference(), config);
-    for (const auto& [label, options] : tier_sweep(reference())) {
+    for (const auto& [label, options] : tier_sweep()) {
       SCOPED_TRACE(partitioner.name() + " on " + label);
       const Graph tiered = io::load_csr_file(csr_path(), options);
       const EdgePartition actual = partitioner.partition(tiered, config);
@@ -121,7 +91,7 @@ TEST_F(StorageDifferential, MultiTlpThreadsShardsAcrossTiers) {
     MultiTlpOptions mo;
     mo.num_threads = threads;
     const MultiTlpPartitioner partitioner{mo};
-    for (const auto& [label, options] : tier_sweep(reference())) {
+    for (const auto& [label, options] : tier_sweep()) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " on " + label);
       const Graph tiered = io::load_csr_file(csr_path(), options);
       const EdgePartition actual = partitioner.partition(tiered, config);
@@ -132,8 +102,8 @@ TEST_F(StorageDifferential, MultiTlpThreadsShardsAcrossTiers) {
 
 TEST_F(StorageDifferential, EveryRegisteredPartitionerTierInvariant) {
   // Broad, shallow sweep: each registered algorithm once, in-memory vs
-  // mmap vs one hybrid split, on a smaller graph (some baselines are
-  // superlinear). Catches any algorithm that sneaks around the facade.
+  // mmap, on a smaller graph (some baselines are superlinear). Catches any
+  // algorithm that sneaks around the facade.
   const Graph small = gen::chung_lu_power_law(400, 1600, 2.1, 7);
   const fs::path path =
       fs::temp_directory_path() /
@@ -144,13 +114,9 @@ TEST_F(StorageDifferential, EveryRegisteredPartitionerTierInvariant) {
   for (const std::string& name : registered_partitioners()) {
     const PartitionerPtr partitioner = make_partitioner(name);
     const EdgePartition expected = partitioner->partition(small, config);
-    for (const char* spec : {"mmap", "hybrid:2"}) {
-      SCOPED_TRACE(name + " on " + spec);
-      const Graph tiered =
-          io::load_csr_file(path, StorageOptions::parse(spec));
-      const EdgePartition actual = partitioner->partition(tiered, config);
-      EXPECT_EQ(actual.raw(), expected.raw());
-    }
+    SCOPED_TRACE(name + " on mmap");
+    const Graph tiered = io::load_csr_file(path, StorageOptions::parse("mmap"));
+    EXPECT_EQ(partitioner->partition(tiered, config).raw(), expected.raw());
   }
   fs::remove(path);
 }
@@ -168,7 +134,7 @@ TEST_F(StorageDifferential, MadviseToggleIsValueInvariant) {
       MultiTlpPartitioner{}.partition(reference(), config);
   for (const bool enabled : {true, false}) {
     set_madvise_enabled(enabled);
-    for (const auto& [label, options] : tier_sweep(reference())) {
+    for (const auto& [label, options] : tier_sweep()) {
       SCOPED_TRACE(std::string("madvise=") + (enabled ? "on" : "off") +
                    " on " + label);
       const Graph tiered = io::load_csr_file(csr_path(), options);
@@ -217,7 +183,7 @@ TEST_F(StorageDifferential, WindowTlpAcrossTiers) {
   config.num_partitions = 6;
   const PartitionerPtr partitioner = make_partitioner("window_tlp");
   const EdgePartition expected = partitioner->partition(reference(), config);
-  for (const auto& [label, options] : tier_sweep(reference())) {
+  for (const auto& [label, options] : tier_sweep()) {
     SCOPED_TRACE("window_tlp on " + label);
     const Graph tiered = io::load_csr_file(csr_path(), options);
     EXPECT_EQ(partitioner->partition(tiered, config).raw(), expected.raw());

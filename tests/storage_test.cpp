@@ -1,12 +1,13 @@
 // Storage-policy seam: tier round-trips, word/span boundaries (vertex 0,
-// last vertex, isolated vertices), hybrid residency accounting, the TLPC
+// last vertex, isolated vertices), resident/mapped accounting, the TLPC
 // header/payload validation, and spill-file lifecycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -20,8 +21,6 @@ namespace tlp {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
 
 fs::path temp_file(const std::string& name) {
   return fs::temp_directory_path() / name;
@@ -61,33 +60,30 @@ Graph boundary_graph(VertexId n = 7) {
 
 TEST(StorageOptions, ParseAcceptsAllTiers) {
   EXPECT_EQ(StorageOptions::parse("in_memory").tier, StorageTier::kInMemory);
-  EXPECT_EQ(StorageOptions::parse("memory").tier, StorageTier::kInMemory);
   EXPECT_EQ(StorageOptions::parse("mmap").tier, StorageTier::kMmap);
-  const StorageOptions h = StorageOptions::parse("hybrid:16:1048576");
-  EXPECT_EQ(h.tier, StorageTier::kHybrid);
-  EXPECT_EQ(h.degree_threshold, 16u);
-  EXPECT_EQ(h.pinned_cache_bytes, 1048576u);
-  EXPECT_EQ(StorageOptions::parse("hybrid:inf").degree_threshold, kMax);
-  EXPECT_EQ(StorageOptions::parse("hybrid:max").degree_threshold, kMax);
-  // Defaults survive when fields are omitted.
-  const StorageOptions d = StorageOptions::parse("hybrid");
-  EXPECT_EQ(d.degree_threshold, StorageOptions{}.degree_threshold);
 }
 
 TEST(StorageOptions, ParseRejectsGarbage) {
-  EXPECT_THROW((void)StorageOptions::parse(""), std::invalid_argument);
-  EXPECT_THROW((void)StorageOptions::parse("disk"), std::invalid_argument);
-  EXPECT_THROW((void)StorageOptions::parse("hybrid:abc"),
-               std::invalid_argument);
-  EXPECT_THROW((void)StorageOptions::parse("hybrid:1:2:3"),
-               std::invalid_argument);
-  EXPECT_THROW((void)StorageOptions::parse("mmap:"), std::invalid_argument);
+  // Everything but the two exact tier names throws: other tier names,
+  // colon-field suffixes and aliases alike. The CLI (--storage,
+  // TLP_STORAGE) and TLP_BENCH_STORAGE all parse through here.
+  for (const char* spec :
+       {"", "disk", "hybrid", "hybrid:8", "hybrid:16:1048576", "hybrid:abc",
+        "hybrid:1:2:3", "mmap:", "mmap:8", "in_memory:0", "memory"}) {
+    try {
+      (void)StorageOptions::parse(spec);
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("in_memory | mmap"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Storage, TierNames) {
   EXPECT_EQ(storage_tier_name(StorageTier::kInMemory), "in_memory");
   EXPECT_EQ(storage_tier_name(StorageTier::kMmap), "mmap");
-  EXPECT_EQ(storage_tier_name(StorageTier::kHybrid), "hybrid");
 }
 
 TEST(Storage, DefaultGraphIsInMemory) {
@@ -104,22 +100,9 @@ TEST(Storage, CsrRoundTripOnEveryTier) {
   const fs::path path = temp_file("tlp_storage_roundtrip.tlpc");
   io::write_csr_file(original, path);
 
-  std::vector<StorageOptions> configs;
-  for (const char* tier : {"in_memory", "mmap"}) {
-    configs.push_back(StorageOptions::parse(tier));
-  }
-  for (const std::size_t tau : {std::size_t{0}, std::size_t{2}, kMax}) {
-    StorageOptions o;
-    o.tier = StorageTier::kHybrid;
-    o.degree_threshold = tau;
-    configs.push_back(o);
-    o.pinned_cache_bytes = 0;  // and with pinning disabled
-    configs.push_back(o);
-  }
-  for (const StorageOptions& options : configs) {
-    SCOPED_TRACE(std::string(storage_tier_name(options.tier)) + " tau=" +
-                 std::to_string(options.degree_threshold) + " pin=" +
-                 std::to_string(options.pinned_cache_bytes));
+  for (const char* spec : {"in_memory", "mmap"}) {
+    SCOPED_TRACE(spec);
+    const StorageOptions options = StorageOptions::parse(spec);
     const Graph loaded = io::load_csr_file(path, options);
     EXPECT_EQ(loaded.storage_tier(), options.tier);
     expect_same_graph(original, loaded);
@@ -135,7 +118,7 @@ TEST(Storage, EmptyGraphRoundTrip) {
   const Graph empty = Graph::from_edges(0, {});
   const fs::path path = temp_file("tlp_storage_empty.tlpc");
   io::write_csr_file(empty, path);
-  for (const char* spec : {"in_memory", "mmap", "hybrid:0"}) {
+  for (const char* spec : {"in_memory", "mmap"}) {
     const Graph loaded = io::load_csr_file(path, StorageOptions::parse(spec));
     EXPECT_EQ(loaded.num_vertices(), 0u);
     EXPECT_EQ(loaded.num_edges(), 0u);
@@ -148,60 +131,6 @@ TEST(Storage, SummaryTagsNonDefaultTiers) {
   const Graph g = boundary_graph();
   const Graph m = io::with_tier(g, StorageOptions::parse("mmap"));
   EXPECT_NE(m.summary().find("storage=mmap"), std::string::npos);
-  const Graph h = io::with_tier(g, StorageOptions::parse("hybrid:1"));
-  EXPECT_NE(h.summary().find("storage=hybrid"), std::string::npos);
-}
-
-TEST(Storage, HybridResidencyFollowsDegreeThreshold) {
-  // Star: hub 0 with 200 leaves. With tau=1 and no pin budget, the hub's
-  // adjacency is the mapped tier's problem; resident bytes must be far
-  // below the mmap-free in-memory cost. With a generous pin budget the hub
-  // is pinned back and resident bytes grow by ~its adjacency.
-  EdgeList edges;
-  for (VertexId i = 1; i <= 200; ++i) edges.push_back({0, i});
-  const Graph star = Graph::from_edges(201, std::move(edges));
-  const std::size_t in_memory_bytes = star.memory_footprint().resident_bytes;
-
-  StorageOptions unpinned = StorageOptions::parse("hybrid:1:0");
-  const Graph spilled = io::with_tier(star, unpinned);
-  const MemoryFootprint fp = spilled.memory_footprint();
-  EXPECT_GT(fp.mapped_bytes, 0u);
-  // Leaves: 200 slots of 20 bytes resident; the hub's 200 slots are not.
-  EXPECT_LT(fp.resident_bytes, in_memory_bytes);
-  expect_same_graph(star, spilled);
-
-  StorageOptions pinned = StorageOptions::parse("hybrid:1:1048576");
-  const Graph with_pin = io::with_tier(star, pinned);
-  EXPECT_GT(with_pin.memory_footprint().resident_bytes, fp.resident_bytes);
-  expect_same_graph(star, with_pin);
-}
-
-TEST(Storage, HybridPinBudgetIsDegreePure) {
-  // Two degree classes above tau=1: degree-5 vertices and a degree-50 hub.
-  // A budget that fits the hub but not the whole degree-5 class must pin
-  // only the hub (whole classes or nothing keeps residency a pure function
-  // of degree).
-  GraphBuilder b;
-  for (VertexId i = 1; i <= 50; ++i) b.add_edge(0, i);      // hub, deg 50
-  for (VertexId c = 0; c < 10; ++c) {                       // deg-5 cores
-    for (VertexId i = 0; i < 5; ++i) {
-      b.add_edge(100 + c, 200 + 5 * c + i);
-    }
-  }
-  const Graph g = b.build();
-  const std::size_t hub_bytes = 50 * (sizeof(Neighbor) + sizeof(VertexId));
-
-  StorageOptions o = StorageOptions::parse("hybrid:1");
-  o.pinned_cache_bytes = hub_bytes + 16;  // hub fits, deg-5 class does not
-  const Graph h = io::with_tier(g, o);
-  expect_same_graph(g, h);
-
-  StorageOptions none = o;
-  none.pinned_cache_bytes = hub_bytes - 1;  // hub class no longer fits
-  const Graph h2 = io::with_tier(g, none);
-  EXPECT_LT(h2.memory_footprint().resident_bytes,
-            h.memory_footprint().resident_bytes);
-  expect_same_graph(g, h2);
 }
 
 TEST(Storage, CorruptedHeaderIsRejected) {
@@ -209,7 +138,7 @@ TEST(Storage, CorruptedHeaderIsRejected) {
   const fs::path path = temp_file("tlp_storage_corrupt.tlpc");
 
   const auto load_all_tiers = [&path]() {
-    for (const char* spec : {"in_memory", "mmap", "hybrid:4"}) {
+    for (const char* spec : {"in_memory", "mmap"}) {
       (void)io::load_csr_file(path, StorageOptions::parse(spec));
     }
   };
@@ -258,7 +187,7 @@ TEST(Storage, CorruptedPayloadIsRejectedWhenVerifying) {
     const unsigned char junk = 0xFF;
     f.write(reinterpret_cast<const char*>(&junk), 1);
   }
-  for (const char* spec : {"in_memory", "mmap", "hybrid:4"}) {
+  for (const char* spec : {"in_memory", "mmap"}) {
     EXPECT_THROW((void)io::load_csr_file(path, StorageOptions::parse(spec)),
                  std::runtime_error)
         << spec;
@@ -296,9 +225,9 @@ TEST(Storage, BuilderSetStorageProducesRequestedTier) {
   b.add_edge(0, 1);
   b.add_edge(1, 2);
   b.add_edge(2, 0);
-  b.set_storage(StorageOptions::parse("hybrid:1"));
+  b.set_storage(StorageOptions::parse("mmap"));
   const Graph g = b.build();
-  EXPECT_EQ(g.storage_tier(), StorageTier::kHybrid);
+  EXPECT_EQ(g.storage_tier(), StorageTier::kMmap);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(g.has_edge(0, 2));
 }
@@ -336,11 +265,7 @@ TEST(Storage, FootprintSplitsResidentAndMapped) {
   EXPECT_EQ(m.memory_footprint().mapped_bytes, file_bytes);
   EXPECT_EQ(m.memory_footprint().resident_bytes, 0u);
 
-  const Graph h = io::load_csr_file(path, StorageOptions::parse("hybrid:8"));
-  EXPECT_EQ(h.memory_footprint().mapped_bytes, file_bytes);
-  EXPECT_GT(h.memory_footprint().resident_bytes, 0u);
-  EXPECT_EQ(h.memory_footprint().total_bytes(),
-            file_bytes + h.memory_footprint().resident_bytes);
+  EXPECT_EQ(m.memory_footprint().total_bytes(), file_bytes);
 
   const Graph i = io::load_csr_file(path, StorageOptions::parse("in_memory"));
   EXPECT_EQ(i.memory_footprint().mapped_bytes, 0u);

@@ -16,7 +16,7 @@
 # fixture: bit-identity of the flat growth structures against the embedded
 # pre-change baseline plus the zero-steady-state-allocation check, with
 # BENCH_hotpath.json left behind as the artifact. The out-of-core leg caps
-# the heap with `ulimit -d` below the CSR size and requires the hybrid
+# the heap with `ulimit -d` below the CSR size and requires the mmap
 # storage tier to reproduce the uncapped reference partition byte-for-byte
 # while the in-memory control run dies on the same cap. The kernel-matrix
 # leg reruns the kernel differential suites through the TLP_KERNEL env path
@@ -92,18 +92,18 @@ echo "== perf smoke (refine_runtime --smoke) =="
 (cd build-release/bench && ./refine_runtime --smoke)
 
 # Out-of-core smoke: a graph whose CSR exceeds the heap cap must still
-# partition byte-identically on the hybrid tier, and the same cap must kill
+# partition byte-identically on the mmap tier, and the same cap must kill
 # the in-memory control run (otherwise the cap proves nothing). The cap is
 # `ulimit -d` (RLIMIT_DATA: heap + private anonymous mmap), NOT `ulimit -v`
 # (RLIMIT_AS): RLIMIT_AS counts read-only file mappings too, which would
-# kill the mapped tiers along with the heap they are designed to avoid.
-echo "== out-of-core smoke (oocore_smoke, hybrid under ulimit -d) =="
+# kill the mmap tier along with the heap it is designed to avoid.
+echo "== out-of-core smoke (oocore_smoke, mmap under ulimit -d) =="
 cmake --build build-release -j "$JOBS" --target oocore_smoke
 OOC_DIR="build-release/oocore-smoke"
 CAP_KB="$(build-release/tools/oocore_smoke --prepare "$OOC_DIR" \
   | sed -n 's/^cap_kb=//p')"
 echo "-- heap cap: ${CAP_KB}KB (below the in-memory CSR)"
-sh -c "ulimit -d $CAP_KB; build-release/tools/oocore_smoke --run $OOC_DIR hybrid:8"
+sh -c "ulimit -d $CAP_KB; build-release/tools/oocore_smoke --run $OOC_DIR mmap"
 if sh -c "ulimit -d $CAP_KB; build-release/tools/oocore_smoke --run $OOC_DIR in_memory" \
     2> /dev/null; then
   echo "oocore smoke: FAIL — in-memory control survived the cap (cap too big)"

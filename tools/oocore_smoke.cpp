@@ -16,8 +16,8 @@
 //       (allocation failure), which the in-memory control leg *expects*.
 //
 // Why RLIMIT_DATA and not RLIMIT_AS (`ulimit -v`): RLIMIT_AS counts
-// read-only file mappings too, so it would kill the mmap/hybrid tiers along
-// with the heap they are supposed to be saving. RLIMIT_DATA charges heap
+// read-only file mappings too, so it would kill the mmap tier along with
+// the heap it is supposed to be saving. RLIMIT_DATA charges heap
 // (brk + private anonymous mmap) but exempts file-backed mappings, which is
 // exactly the resource the out-of-core tier trades away.
 #include <cstdint>
@@ -63,7 +63,7 @@ int prepare(const fs::path& dir, VertexId n, EdgeId m) {
   // Suggest a heap cap below the in-memory CSR size, with room for the
   // process baseline (runtime, partition state). The control leg must load
   // the whole CSR into heap vectors and therefore blow through this; the
-  // hybrid leg keeps the big sections file-backed and fits.
+  // mmap leg keeps every section file-backed and fits.
   const std::uintmax_t csr_bytes = fs::file_size(csr);
   const std::uintmax_t baseline = 48u * 1024 * 1024;
   const std::uintmax_t cap_kb = (baseline + csr_bytes / 2) / 1024;

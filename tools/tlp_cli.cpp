@@ -8,7 +8,7 @@
 //
 // A global --storage=<spec> flag (or the TLP_STORAGE environment variable)
 // selects the storage tier every loaded graph runs on:
-//   --storage=in_memory | mmap | hybrid[:tau[:pinned_bytes]]
+//   --storage=in_memory | mmap
 // .tlpc inputs open directly on that tier; other formats are loaded and
 // re-tiered through a spill file. The .tlpc extension selects the binary
 // CSR format on output (generate/convert).
@@ -58,7 +58,7 @@ int usage() {
       "  compare <graph.txt> <p>\n"
       "  pagerank <graph.txt> <algo> <p> [iters]\n"
       "  algorithms\n"
-      "  --storage: in_memory | mmap | hybrid[:tau[:pinned_bytes]]\n"
+      "  --storage: in_memory | mmap\n"
       "             (or the TLP_STORAGE environment variable)\n";
   return 2;
 }
