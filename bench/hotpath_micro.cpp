@@ -16,13 +16,11 @@
 // The run also asserts the steady-state allocation story: a warm RunContext
 // must show zero new arena misses from the second run onward.
 //
-// A third axis sweeps the SIMD intersect kernels (scalar / sse42 / avx2 as
-// the CPU supports them): per-kernel ns/intersection over edge-sampled
+// A third axis sweeps the SIMD intersect kernels (scalar, plus avx2 when
+// the CPU supports it): per-kernel ns/intersection over edge-sampled
 // vertex pairs, per-kernel end-to-end flat time, and the byte-identity of
-// every kernel's partition against the scalar one. `--kernel=NAME` pins a
-// single kernel instead of sweeping (the TLP_KERNEL env var works too —
-// the flag just makes sweeps self-contained). JSON schema is documented in
-// docs/BENCHMARKS.md.
+// every kernel's partition against the scalar one. JSON schema is
+// documented in docs/BENCHMARKS.md.
 //
 //   hotpath_micro            # full fixture (power-law n≈100k)
 //   hotpath_micro --smoke    # small fixture for CI perf-smoke (tools/check.sh)
@@ -628,18 +626,8 @@ int main(int argc, char** argv) {
   using namespace tlp::bench;
 
   bool smoke = false;
-  std::string kernel_flag;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--kernel=", 9) == 0) kernel_flag = argv[i] + 9;
-  }
-  if (!kernel_flag.empty()) {
-    intersect::Kernel requested{};
-    if (!intersect::kernel_from_name(kernel_flag, requested) ||
-        !intersect::set_active(requested)) {
-      std::cerr << "unknown or unsupported --kernel=" << kernel_flag << "\n";
-      return 2;
-    }
   }
 
   VertexId n = smoke ? 4000 : 100000;
@@ -770,16 +758,10 @@ int main(int argc, char** argv) {
   std::string kernels_json;
   {
     const intersect::Kernel entry_kind = intersect::active_kind();
-    // Scalar is always the first row (it is the identity reference);
-    // --kernel restricts the rest of the sweep to that one kernel.
+    // Scalar is always the first row (it is the identity reference).
     std::vector<intersect::Kernel> sweep{intersect::Kernel::kScalar};
-    if (!kernel_flag.empty()) {
-      if (entry_kind != intersect::Kernel::kScalar) sweep.push_back(entry_kind);
-    } else {
-      for (const intersect::Kernel k :
-           {intersect::Kernel::kSse42, intersect::Kernel::kAvx2}) {
-        if (intersect::supported(k)) sweep.push_back(k);
-      }
+    if (intersect::supported(intersect::Kernel::kAvx2)) {
+      sweep.push_back(intersect::Kernel::kAvx2);
     }
     const auto pairs = sample_pairs(g, smoke ? 20000 : 100000);
     const int kreps = smoke ? 2 : 3;

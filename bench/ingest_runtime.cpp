@@ -1,19 +1,13 @@
 // Bounded-memory ingest ablation: what does the external-sort spill path
 // cost, and does the memory budget actually bound the build?
 //
-// Two sweeps on a fixed Chung-Lu power-law graph (TLP_BENCH_SCALE scales):
-//
-//  1. Budget sweep — the same edge stream through GraphBuilder at budgets
-//     from unbounded down to ~1/64 of the raw edge list, each run forked
-//     into a child process so wait4() reports a PER-RUN peak RSS (ru_maxrss
-//     is a process-lifetime high-water mark; in-process it would only ever
-//     reflect the largest run). Every budgeted .tlpc must be byte-identical
-//     to the unbounded reference before its numbers are reported.
-//
-//  2. madvise sweep — TLP partition on the fully-mapped tier with the
-//     paging hints on vs off: partition time, soft/hard fault deltas
-//     (getrusage), and the madvise_calls gauge. Assignments must be
-//     byte-identical either way (hints are advisory).
+// One budget sweep on a fixed Chung-Lu power-law graph (TLP_BENCH_SCALE
+// scales): the same edge stream through GraphBuilder at budgets from
+// unbounded down to ~1/64 of the raw edge list, each run forked into a
+// child process so wait4() reports a PER-RUN peak RSS (ru_maxrss is a
+// process-lifetime high-water mark; in-process it would only ever reflect
+// the largest run). Every budgeted .tlpc must be byte-identical to the
+// unbounded reference before its numbers are reported.
 //
 // Results go to BENCH_ingest.json (schema in docs/BENCHMARKS.md).
 #include <chrono>
@@ -36,31 +30,12 @@
 
 #include "bench_common/options.hpp"
 #include "bench_common/table.hpp"
-#include "core/tlp.hpp"
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
-#include "graph/io.hpp"
-#include "graph/storage.hpp"
 
 namespace {
 
 using namespace tlp;
-
-struct Faults {
-  std::uint64_t soft = 0;
-  std::uint64_t hard = 0;
-};
-
-Faults fault_counters() {
-#if TLP_HAS_FORK_RUSAGE
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return {static_cast<std::uint64_t>(usage.ru_minflt),
-          static_cast<std::uint64_t>(usage.ru_majflt)};
-#else
-  return {};
-#endif
-}
 
 struct BuildRun {
   double seconds = 0.0;
@@ -156,8 +131,8 @@ int main() {
   const double scale = bench_scale();
   const auto n = static_cast<VertexId>(60000 * scale);
   const auto m = static_cast<EdgeId>(600000 * scale);
-  std::cout << "== Bounded-memory ingest: budget sweep + madvise ablation "
-               "(chung_lu n=" << n << " m=" << m << ") ==\n\n";
+  std::cout << "== Bounded-memory ingest: budget sweep (chung_lu n=" << n
+            << " m=" << m << ") ==\n\n";
 
   const Graph reference = gen::chung_lu_power_law(n, m, 2.1, 77);
   const std::size_t raw_edge_bytes =
@@ -167,7 +142,7 @@ int main() {
   const fs::path ref_csr = dir / ("tlp_ingest_ref_" + tag + ".tlpc");
   const fs::path out_csr = dir / ("tlp_ingest_out_" + tag + ".tlpc");
 
-  // ---- Sweep 1: memory budget ------------------------------------------
+  // ---- Memory budget sweep ---------------------------------------------
   // Unbounded first (it is also the byte-identity reference), then halving
   // down to ~raw/64 — the regime where the resident chunk is far smaller
   // than the input and the merge fan-in does the work.
@@ -208,57 +183,9 @@ int main() {
             ",\"identical\":" + (identical ? "true" : "false") + "}";
     std::cout.flush();
   }
+  json += "]}";
   table.print(std::cout);
   fs::remove(out_csr);
-
-  // ---- Sweep 2: madvise on/off on the mapped tier ----------------------
-  std::cout << "\n-- madvise ablation (mmap tier, TLP partition) --\n\n";
-  PartitionConfig config;
-  config.num_partitions = 10;
-  const TlpPartitioner tlp_algo;
-  // Reference assignments come from the SAME .tlpc on the in-memory tier —
-  // the builder canonicalizes edge-id order, so the generator-built graph
-  // is not comparable edge-for-edge.
-  const Graph baseline =
-      io::load_csr_file(ref_csr, StorageOptions::parse("in_memory"));
-  const EdgePartition expected = tlp_algo.partition(baseline, config);
-  const bool saved_madvise = madvise_enabled();
-  Table mtable({"madvise", "partition s", "soft faults", "hard faults",
-                "madvise calls", "identical"});
-  json += "],\"madvise_sweep\":[";
-  first = true;
-  for (const bool enabled : {true, false}) {
-    set_madvise_enabled(enabled);
-    const Graph mapped =
-        io::load_csr_file(ref_csr, StorageOptions::parse("mmap"));
-    const Faults before = fault_counters();
-    const auto t0 = std::chrono::steady_clock::now();
-    RunContext ctx;
-    const EdgePartition part = tlp_algo.partition(mapped, config, ctx);
-    const double part_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const Faults after = fault_counters();
-    const bool identical = part.raw() == expected.raw();
-    all_ok = all_ok && identical;
-    const auto calls =
-        static_cast<std::uint64_t>(ctx.telemetry().counter("madvise_calls"));
-    mtable.add_row({enabled ? "on" : "off", fmt_double(part_s, 3),
-                    std::to_string(after.soft - before.soft),
-                    std::to_string(after.hard - before.hard),
-                    std::to_string(calls), identical ? "yes" : "NO"});
-    if (!first) json += ',';
-    first = false;
-    json += std::string("{\"enabled\":") + (enabled ? "true" : "false") +
-            ",\"partition_seconds\":" + fmt_double(part_s, 6) +
-            ",\"soft_faults\":" + std::to_string(after.soft - before.soft) +
-            ",\"hard_faults\":" + std::to_string(after.hard - before.hard) +
-            ",\"madvise_calls\":" + std::to_string(calls) +
-            ",\"identical\":" + (identical ? "true" : "false") + "}";
-  }
-  set_madvise_enabled(saved_madvise);
-  json += "]}";
-  mtable.print(std::cout);
   std::ofstream("BENCH_ingest.json") << json << '\n';
   std::cout << "\nwrote BENCH_ingest.json (raw edge list: "
             << raw_edge_bytes / 1024
@@ -266,7 +193,7 @@ int main() {
                "plus the O(1) CSR writer staging, not the input size).\n";
   fs::remove(ref_csr);
   if (!all_ok) {
-    std::cerr << "FATAL: a budgeted build or madvise run diverged\n";
+    std::cerr << "FATAL: a budgeted build diverged\n";
     return 1;
   }
   return 0;

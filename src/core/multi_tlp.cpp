@@ -508,12 +508,7 @@ class MultiRun {
       // ahead (random-access increments over an O(n) array).
       const auto hops = g_.neighbor_ids(v);
       for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (i + 1 < hops.size()) {
-          // Same rung-ahead pair as the sequential run, plus the mmap
-          // tier's MADV_WILLNEED staging of the next adjacency span.
-          g_.prefetch_neighbor_ids(hops[i + 1]);
-          g_.prefetch_adjacency(hops[i + 1]);
-        }
+        if (i + 1 < hops.size()) g_.prefetch_neighbor_ids(hops[i + 1]);
         const auto ids = g_.neighbor_ids(hops[i]);
         for (std::size_t j = 0; j < ids.size(); ++j) {
           if (j + kCountPrefetchDistance < ids.size()) {

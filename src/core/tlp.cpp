@@ -177,13 +177,7 @@ class GrowthRun {
       // increments are random-access over an O(n) array).
       const auto hops = g_.neighbor_ids(v);
       for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (i + 1 < hops.size()) {
-          // One rung ahead on both ladders: an SW prefetch for the next
-          // list's head line, and (mmap tier only) a page-granular
-          // MADV_WILLNEED so the kernel stages the whole span behind it.
-          g_.prefetch_neighbor_ids(hops[i + 1]);
-          g_.prefetch_adjacency(hops[i + 1]);
-        }
+        if (i + 1 < hops.size()) g_.prefetch_neighbor_ids(hops[i + 1]);
         const auto ids = g_.neighbor_ids(hops[i]);
         for (std::size_t j = 0; j < ids.size(); ++j) {
           if (j + kCountPrefetchDistance < ids.size()) {

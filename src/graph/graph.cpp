@@ -89,7 +89,6 @@ Graph Graph::from_edges(VertexId num_vertices, EdgeList edges) {
 Graph Graph::from_storage(std::shared_ptr<const GraphStorage> storage) {
   Graph g;
   g.view_ = storage->view();
-  g.mapped_ = storage->tier() != StorageTier::kInMemory;
   g.storage_ = std::move(storage);
   return g;
 }

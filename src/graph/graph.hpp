@@ -130,26 +130,11 @@ class Graph {
     simd::prefetch_read(view_.ids + view_.offsets[v]);
   }
 
-  /// Hints the kernel that v's adjacency (both the Neighbor records and
-  /// the vertex-only mirror) will be walked soon: MADV_WILLNEED on the
-  /// mapped span. The growth hot paths call this one frontier rung ahead
-  /// of the two-hop counting scan. No-op for in-memory graphs (the common
-  /// case pays one predictable branch), for spans under a page, when
-  /// TLP_MADVISE is off, and off Linux.
-  void prefetch_adjacency(VertexId v) const {
-    if (mapped_) storage_->prefetch_adjacency(v);
-  }
-
   /// Releases the mapped adjacency spans back to the kernel
   /// (MADV_DONTNEED) after a partition run commits; pages re-fault from
   /// the page cache/file if touched again. No-op on in-memory graphs.
   void release_cold_pages() const {
-    if (mapped_) storage_->release_cold_pages();
-  }
-
-  /// madvise syscalls the underlying storage has issued (telemetry gauge).
-  [[nodiscard]] std::uint64_t madvise_calls() const {
-    return storage_ == nullptr ? 0 : storage_->madvise_calls();
+    if (storage_ != nullptr) storage_->release_cold_pages();
   }
 
   /// Which tier the CSR bytes live on (kInMemory for default-constructed
@@ -170,7 +155,6 @@ class Graph {
  private:
   std::shared_ptr<const GraphStorage> storage_;
   StorageView view_;  // cached by value: hot accessors never indirect
-  bool mapped_ = false;  // true iff the mmap tier backs the view
 };
 
 }  // namespace tlp

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 
 #include "util/simd.hpp"
 
@@ -86,146 +85,20 @@ void terms_scalar(const std::uint32_t* counts, const VertexId* ids,
 #if TLP_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// SSE4.2 kernels (4 VertexId lanes). Compiled with a per-function target
-// attribute so the translation unit itself needs no -msse4.2; only taken
+// AVX2 kernels (8 VertexId lanes). Compiled with a per-function target
+// attribute so the translation unit itself needs no -mavx2; only taken
 // after a runtime CPUID probe. All loads are the unaligned intrinsic forms
 // (adjacency spans carry no alignment guarantee).
 // ---------------------------------------------------------------------------
 
-/// Block merge: compare a 4-lane block of `a` against every rotation of a
-/// 4-lane block of `b` (equality is sign-agnostic, so unsigned ids are
-/// fine), popcount the match mask, and advance the block whose maximum is
-/// smaller — the classic shuffle-compare intersection (Schlegel et al.;
-/// SNIPPETS.md). Each matching element is counted exactly once because the
-/// block-pair staircase visits every (A-block, B-block) pair that can hold
-/// a match, and the lists are duplicate-free.
-__attribute__((target("sse4.2"))) std::size_t merge_sse42(const VertexId* a,
-                                                          std::size_t na,
-                                                          const VertexId* b,
-                                                          std::size_t nb) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  if (na >= 4 && nb >= 4) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-    for (;;) {
-      __m128i eq = _mm_cmpeq_epi32(va, vb);
-      eq = _mm_or_si128(
-          eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x39)));  // rot 1
-      eq = _mm_or_si128(
-          eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x4E)));  // rot 2
-      eq = _mm_or_si128(
-          eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0x93)));  // rot 3
-      count += static_cast<std::size_t>(
-          std::popcount(static_cast<unsigned>(
-              _mm_movemask_ps(_mm_castsi128_ps(eq)))));
-      const VertexId amax = a[i + 3];
-      const VertexId bmax = b[j + 3];
-      if (amax <= bmax) i += 4;
-      if (bmax <= amax) j += 4;
-      if (i + 4 > na || j + 4 > nb) break;
-      va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-      vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    }
-  }
-  // Scalar tail: no match pair straddles the processed/unprocessed split
-  // (a block is only retired once every b element it could match has been
-  // compared against it, and vice versa).
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-/// Galloping path with a vectorized landing window: the exponential search
-/// keeps its scalar probes (they are O(log) and branchy), the binary search
-/// stops once the gap fits in ~one vector, and the final "first element
-/// >= target" scan becomes one unsigned-compare + movemask + popcount.
-/// Unsigned order uses the sign-flip trick (x <u y  ⇔  x^MSB <s y^MSB).
-__attribute__((target("sse4.2"))) std::size_t gallop_sse42(const VertexId* a,
-                                                           std::size_t na,
-                                                           const VertexId* b,
-                                                           std::size_t nb) {
-  const __m128i flip = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < na; ++k) {
-    const VertexId target = a[k];
-    std::size_t lo = pos;
-    std::size_t hi = pos;
-    std::size_t step = 1;
-    while (hi < nb && b[hi] < target) {
-      lo = hi + 1;
-      hi += step;
-      step <<= 1;
-    }
-    if (hi > nb) hi = nb;
-    while (hi - lo > 4) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (b[mid] < target) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (nb - lo >= 4) {
-      const __m128i win = _mm_xor_si128(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + lo)), flip);
-      const __m128i tgt =
-          _mm_xor_si128(_mm_set1_epi32(static_cast<int>(target)), flip);
-      unsigned lt = static_cast<unsigned>(
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(win, tgt))));
-      lt &= (1u << (hi - lo)) - 1u;  // lanes past hi are >= target anyway
-      lo += static_cast<std::size_t>(std::popcount(lt));
-    } else {
-      while (lo < hi && b[lo] < target) ++lo;
-    }
-    pos = lo;
-    if (pos == nb) break;
-    if (b[pos] == target) {
-      ++count;
-      ++pos;
-    }
-  }
-  return count;
-}
-
-/// 2-wide batched Stage-I terms. The divide stays an IEEE double division
-/// (correctly rounded, identical to the scalar expression) — never a
-/// reciprocal multiply, which would break cross-kernel byte-identity.
-__attribute__((target("sse4.2"))) void terms_sse42(const std::uint32_t* counts,
-                                                   const VertexId* ids,
-                                                   std::size_t n,
-                                                   double divisor,
-                                                   double* out) {
-  const __m128d vdiv = _mm_set1_pd(divisor);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i vc =
-        _mm_setr_epi32(static_cast<int>(counts[ids[i]]),
-                       static_cast<int>(counts[ids[i + 1]]), 0, 0);
-    _mm_storeu_pd(out + i, _mm_div_pd(_mm_cvtepi32_pd(vc), vdiv));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<double>(counts[ids[i]]) / divisor;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels (8 VertexId lanes).
-// ---------------------------------------------------------------------------
-
-/// 8x8 block merge: compare the a-block against all 8 rotations of the
-/// b-block (cross-lane rotations via vpermd).
+/// 8x8 block merge: compare an 8-lane block of `a` against every rotation
+/// of an 8-lane block of `b` (cross-lane rotations via vpermd; equality is
+/// sign-agnostic, so unsigned ids are fine), popcount the match mask, and
+/// advance the block whose maximum is smaller — the classic shuffle-compare
+/// intersection (Schlegel et al.; SNIPPETS.md). Each matching element is
+/// counted exactly once because the block-pair staircase visits every
+/// (A-block, B-block) pair that can hold a match, and the lists are
+/// duplicate-free.
 __attribute__((target("avx2"))) std::size_t merge_avx2(const VertexId* a,
                                                        std::size_t na,
                                                        const VertexId* b,
@@ -256,6 +129,9 @@ __attribute__((target("avx2"))) std::size_t merge_avx2(const VertexId* a,
       vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
     }
   }
+  // Scalar tail: no match pair straddles the processed/unprocessed split
+  // (a block is only retired once every b element it could match has been
+  // compared against it, and vice versa).
   while (i < na && j < nb) {
     if (a[i] < b[j]) {
       ++i;
@@ -270,6 +146,11 @@ __attribute__((target("avx2"))) std::size_t merge_avx2(const VertexId* a,
   return count;
 }
 
+/// Galloping path with a vectorized landing window: the exponential search
+/// keeps its scalar probes (they are O(log) and branchy), the binary search
+/// stops once the gap fits in one vector, and the final "first element
+/// >= target" scan becomes one unsigned-compare + movemask + popcount.
+/// Unsigned order uses the sign-flip trick (x <u y  ⇔  x^MSB <s y^MSB).
 __attribute__((target("avx2"))) std::size_t gallop_avx2(const VertexId* a,
                                                         std::size_t na,
                                                         const VertexId* b,
@@ -303,7 +184,7 @@ __attribute__((target("avx2"))) std::size_t gallop_avx2(const VertexId* a,
           _mm256_set1_epi32(static_cast<int>(target)), flip);
       unsigned lt = static_cast<unsigned>(
           _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(tgt, win))));
-      lt &= (1u << (hi - lo)) - 1u;
+      lt &= (1u << (hi - lo)) - 1u;  // lanes past hi are >= target anyway
       lo += static_cast<std::size_t>(std::popcount(lt));
     } else {
       while (lo < hi && b[lo] < target) ++lo;
@@ -319,7 +200,9 @@ __attribute__((target("avx2"))) std::size_t gallop_avx2(const VertexId* a,
 }
 
 /// 4-wide batched Stage-I terms: hardware gather of the per-vertex counts,
-/// exact int32→double convert, correctly-rounded divide.
+/// exact int32→double convert, correctly-rounded divide. The divide stays
+/// an IEEE double division (identical to the scalar expression) — never a
+/// reciprocal multiply, which would break cross-kernel byte-identity.
 __attribute__((target("avx2"))) void terms_avx2(const std::uint32_t* counts,
                                                 const VertexId* ids,
                                                 std::size_t n, double divisor,
@@ -347,48 +230,21 @@ __attribute__((target("avx2"))) void terms_avx2(const std::uint32_t* counts,
 constexpr KernelTable kScalarTable = {merge_scalar, gallop_scalar,
                                       terms_scalar, 1, Kernel::kScalar};
 #if TLP_SIMD_X86
-constexpr KernelTable kSse42Table = {merge_sse42, gallop_sse42, terms_sse42, 4,
-                                     Kernel::kSse42};
 constexpr KernelTable kAvx2Table = {merge_avx2, gallop_avx2, terms_avx2, 8,
                                     Kernel::kAvx2};
 #endif
 
 const KernelTable* table_for(Kernel k) {
 #if TLP_SIMD_X86
-  switch (k) {
-    case Kernel::kSse42:
-      return &kSse42Table;
-    case Kernel::kAvx2:
-      return &kAvx2Table;
-    case Kernel::kScalar:
-      break;
-  }
+  if (k == Kernel::kAvx2) return &kAvx2Table;
 #else
   (void)k;
 #endif
   return &kScalarTable;
 }
 
-/// Initial resolution: TLP_KERNEL if parsable (degraded to the best
-/// supported ISA at or below the request), else the CPUID best.
-const KernelTable* resolve_initial() {
-  Kernel pick = best_supported();
-  if (const char* env = std::getenv("TLP_KERNEL")) {
-    Kernel requested;
-    if (kernel_from_name(env, requested)) {
-      while (!supported(requested)) {
-        // Degrade avx2 -> sse42 -> scalar; scalar is always supported.
-        requested = static_cast<Kernel>(static_cast<std::uint8_t>(requested) -
-                                        1);
-      }
-      pick = requested;
-    }
-  }
-  return table_for(pick);
-}
-
 std::atomic<const KernelTable*>& active_slot() {
-  static std::atomic<const KernelTable*> slot{resolve_initial()};
+  static std::atomic<const KernelTable*> slot{table_for(best_supported())};
   return slot;
 }
 
@@ -398,33 +254,16 @@ std::string_view kernel_name(Kernel k) {
   switch (k) {
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kSse42:
-      return "sse42";
     case Kernel::kAvx2:
       return "avx2";
   }
   return "scalar";
 }
 
-bool kernel_from_name(std::string_view name, Kernel& out) {
-  if (name == "scalar") {
-    out = Kernel::kScalar;
-  } else if (name == "sse42") {
-    out = Kernel::kSse42;
-  } else if (name == "avx2") {
-    out = Kernel::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool supported(Kernel k) {
   switch (k) {
     case Kernel::kScalar:
       return true;
-    case Kernel::kSse42:
-      return simd::cpu_supports_sse42();
     case Kernel::kAvx2:
       return simd::cpu_supports_avx2();
   }
@@ -432,9 +271,7 @@ bool supported(Kernel k) {
 }
 
 Kernel best_supported() {
-  if (supported(Kernel::kAvx2)) return Kernel::kAvx2;
-  if (supported(Kernel::kSse42)) return Kernel::kSse42;
-  return Kernel::kScalar;
+  return supported(Kernel::kAvx2) ? Kernel::kAvx2 : Kernel::kScalar;
 }
 
 const KernelTable& active() {

@@ -5,16 +5,12 @@
 // 4-byte-stride neighbor_ids mirror (see DESIGN.md, "Hot-path memory
 // layout"): counting |N(u) ∩ N(v)| and turning per-candidate counts into
 // Stage-I score terms. Both are pure data-parallel kernels, so this layer
-// provides three implementations of each — scalar (the portable reference,
-// byte-for-byte the pre-SIMD code), SSE4.2 (4 VertexId lanes), and AVX2
-// (8 lanes) — behind a table of function pointers resolved once per
-// process:
-//
-//   * by runtime CPUID probe (best supported ISA wins), overridable with
-//     TLP_KERNEL=scalar|sse42|avx2 for testing (an unsupported request
-//     degrades to the best supported ISA at or below it);
-//   * or pinned from code via set_active() (test hook — the differential
-//     suites sweep every kernel in one process).
+// provides two implementations of each — scalar (the portable reference,
+// byte-for-byte the pre-SIMD code) and AVX2 (8 VertexId lanes) — behind a
+// table of function pointers resolved once per process by a runtime CPUID
+// probe (AVX2 when the CPU and build have it, scalar otherwise). Code may
+// re-pin the table with set_active() (test hook — the differential suites
+// sweep every supported kernel in one process).
 //
 // Correctness contract: every kernel returns EXACTLY the same values as
 // the scalar reference — intersection counts are integers, and the
@@ -36,16 +32,12 @@
 
 namespace tlp::intersect {
 
-/// Instruction sets a kernel table may target. Values are stable and
-/// ordered by capability (used for "best at or below the request").
-enum class Kernel : std::uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+/// Instruction sets a kernel table may target. Values are stable (the
+/// perfbench `host.kernel` id reports them) and ordered by capability.
+enum class Kernel : std::uint8_t { kScalar = 0, kAvx2 = 2 };
 
-/// Stable short name: "scalar", "sse42", "avx2".
+/// Stable short name: "scalar", "avx2".
 [[nodiscard]] std::string_view kernel_name(Kernel k);
-
-/// Parses a kernel name (the TLP_KERNEL values). Returns true and sets
-/// `out` on success; unknown names return false.
-[[nodiscard]] bool kernel_from_name(std::string_view name, Kernel& out);
 
 /// One resolved implementation set. All function pointers are non-null.
 struct KernelTable {
@@ -61,7 +53,7 @@ struct KernelTable {
   CountFn merge;          ///< linear path (lane-parallel block compare)
   CountFn gallop;         ///< skewed path (exponential search + vector window)
   TermsFn stage1_terms;   ///< batched score-term kernel
-  std::uint32_t lane_width;  ///< VertexId lanes per vector op (1 / 4 / 8)
+  std::uint32_t lane_width;  ///< VertexId lanes per vector op (1 / 8)
   Kernel kind;
 };
 
@@ -72,8 +64,7 @@ struct KernelTable {
 /// Highest supported kernel on this CPU/build.
 [[nodiscard]] Kernel best_supported();
 
-/// The active kernel table. First use resolves it: TLP_KERNEL if set (and
-/// degradable to a supported ISA), else best_supported(). The resolved
+/// The active kernel table. First use resolves it to best_supported(); the
 /// pointer is then stable until set_active().
 [[nodiscard]] const KernelTable& active();
 

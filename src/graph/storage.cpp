@@ -1,8 +1,6 @@
 #include "graph/storage.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -24,7 +22,7 @@
 
 // madvise tuning is Linux-only by policy (the advice constants and their
 // semantics are what we validated there); everywhere else the hint layer
-// compiles to no-ops and madvise_calls() stays 0.
+// compiles to no-ops.
 #if defined(__linux__)
 #define TLP_HAS_MADVISE 1
 #else
@@ -34,21 +32,14 @@
 namespace tlp {
 namespace {
 
-std::atomic<bool> g_madvise_enabled{[] {
-  const char* env = std::getenv("TLP_MADVISE");
-  if (env == nullptr) return true;
-  const std::string_view s(env);
-  return !(s == "off" || s == "0" || s == "false");
-}()};
-
 /// Advice kinds the mmap tier uses; mapped to MADV_* on Linux.
-enum class Advice { kSequential, kNormal, kWillNeed, kDontNeed };
+enum class Advice { kSequential, kNormal, kDontNeed };
 
-/// Issues madvise over [addr, addr+len) rounded out to page boundaries.
-/// Returns true iff a syscall was issued (enabled, Linux, non-empty range).
-bool advise_range(const void* addr, std::size_t len, Advice advice) {
+/// Issues madvise over [addr, addr+len) rounded out to page boundaries
+/// (Linux, non-empty range; a no-op otherwise).
+void advise_range(const void* addr, std::size_t len, Advice advice) {
 #if TLP_HAS_MADVISE
-  if (!madvise_enabled() || addr == nullptr || len == 0) return false;
+  if (addr == nullptr || len == 0) return;
   static const std::size_t page =
       static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   const auto raw = reinterpret_cast<std::uintptr_t>(addr);
@@ -62,26 +53,18 @@ bool advise_range(const void* addr, std::size_t len, Advice advice) {
     case Advice::kNormal:
       native = MADV_NORMAL;
       break;
-    case Advice::kWillNeed:
-      native = MADV_WILLNEED;
-      break;
     case Advice::kDontNeed:
       native = MADV_DONTNEED;
       break;
   }
-  // Failure is acceptable (advice only); issuing is what we count.
-  return ::madvise(reinterpret_cast<void*>(lo), len, native) == 0;
+  // Failure is acceptable: the hint is advice only.
+  (void)::madvise(reinterpret_cast<void*>(lo), len, native);
 #else
   (void)addr;
   (void)len;
   (void)advice;
-  return false;
 #endif
 }
-
-/// An mmap-tier vertex span must clear this floor before a WILLNEED is
-/// worth its syscall: one page of adjacency payload.
-constexpr std::size_t kMinPrefetchBytes = 4096;
 
 using io::csr::Header;
 
@@ -218,8 +201,7 @@ class InMemoryStorage final : public GraphStorage {
 /// section pointers are alignment-correct.
 class MmapStorage final : public GraphStorage {
  public:
-  MmapStorage(MappedFile file, const Header& h, std::uint64_t advise_calls)
-      : file_(std::move(file)), madvise_calls_(advise_calls) {
+  MmapStorage(MappedFile file, const Header& h) : file_(std::move(file)) {
     view_.num_vertices = static_cast<VertexId>(h.num_vertices);
     view_.num_edges = h.num_edges;
     view_.offsets = section_ptr<std::size_t>(file_, h.offsets);
@@ -236,49 +218,19 @@ class MmapStorage final : public GraphStorage {
     return fp;
   }
 
-  void prefetch_adjacency(VertexId v) const override {
-    if (!file_.file_backed()) return;
-    const std::size_t begin = view_.offsets[v];
-    const std::size_t deg = view_.offsets[v + 1] - begin;
-    if (deg * sizeof(Neighbor) < kMinPrefetchBytes) return;
-    std::uint64_t issued = 0;
-    issued += advise_range(view_.adj + begin, deg * sizeof(Neighbor),
-                           Advice::kWillNeed);
-    issued += advise_range(view_.ids + begin, deg * sizeof(VertexId),
-                           Advice::kWillNeed);
-    madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
-  }
-
   void release_cold_pages() const override {
     if (!file_.file_backed()) return;
     const std::size_t entries = view_.offsets[view_.num_vertices];
-    std::uint64_t issued = 0;
-    issued += advise_range(view_.adj, entries * sizeof(Neighbor),
-                           Advice::kDontNeed);
-    issued += advise_range(view_.ids, entries * sizeof(VertexId),
-                           Advice::kDontNeed);
-    madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t madvise_calls() const override {
-    return madvise_calls_.load(std::memory_order_relaxed);
+    advise_range(view_.adj, entries * sizeof(Neighbor), Advice::kDontNeed);
+    advise_range(view_.ids, entries * sizeof(VertexId), Advice::kDontNeed);
   }
 
  private:
   MappedFile file_;
   StorageView view_;
-  mutable std::atomic<std::uint64_t> madvise_calls_{0};
 };
 
 }  // namespace
-
-void set_madvise_enabled(bool enabled) {
-  g_madvise_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool madvise_enabled() {
-  return g_madvise_enabled.load(std::memory_order_relaxed);
-}
 
 std::string_view storage_tier_name(StorageTier tier) {
   switch (tier) {
@@ -361,7 +313,6 @@ std::shared_ptr<const GraphStorage> open_csr_storage(
     MappedFile file = MappedFile::open(path);
     const Header h =
         io::csr::decode_and_validate_header(file.data(), file.size());
-    std::uint64_t advise_calls = 0;
     if (options.verify) {
       // The validation pass walks every section front to back once:
       // exactly the access pattern MADV_SEQUENTIAL accelerates (aggressive
@@ -369,8 +320,7 @@ std::shared_ptr<const GraphStorage> open_csr_storage(
       // anything but sequential, so drop back to NORMAL afterwards. Only a
       // real mapping takes advice — never the heap fallback copy.
       if (file.file_backed()) {
-        advise_calls += advise_range(file.data(), file.size(),
-                                     Advice::kSequential);
+        advise_range(file.data(), file.size(), Advice::kSequential);
       }
       io::csr::validate_csr_payload(
           h.num_vertices, h.num_edges, section_ptr<std::uint64_t>(file, h.offsets),
@@ -378,11 +328,10 @@ std::shared_ptr<const GraphStorage> open_csr_storage(
           section_ptr<VertexId>(file, h.adjacency_ids),
           section_ptr<Edge>(file, h.edges));
       if (file.file_backed()) {
-        advise_calls += advise_range(file.data(), file.size(),
-                                     Advice::kNormal);
+        advise_range(file.data(), file.size(), Advice::kNormal);
       }
     }
-    storage = std::make_shared<MmapStorage>(std::move(file), h, advise_calls);
+    storage = std::make_shared<MmapStorage>(std::move(file), h);
   }
   if (unlink_after_open) {
     // POSIX keeps the mapped data reachable until the last mapping goes

@@ -44,16 +44,6 @@ enum class StorageTier : std::uint8_t {
 /// Short stable name ("in_memory", "mmap").
 [[nodiscard]] std::string_view storage_tier_name(StorageTier tier);
 
-/// Process-wide switch for the madvise hints the mmap tier issues
-/// (MADV_SEQUENTIAL over the load-time validation scan, MADV_WILLNEED
-/// adjacency prefetch, MADV_DONTNEED cold-span release). Initialized from
-/// the TLP_MADVISE environment variable ("off"/"0"/"false" disables;
-/// default on); this setter is the in-process override for tests and
-/// benches. Hints are pure performance advice — content and partition
-/// bytes are identical either way — and compile to no-ops off Linux.
-void set_madvise_enabled(bool enabled);
-[[nodiscard]] bool madvise_enabled();
-
 /// Knobs for choosing and tuning a storage tier. Threaded through
 /// GraphBuilder, graph/io loading, PartitionConfig, and the bench layer
 /// (TLP_BENCH_STORAGE) so any workload can run on any tier.
@@ -121,19 +111,11 @@ class GraphStorage {
   [[nodiscard]] virtual const StorageView& view() const = 0;
   [[nodiscard]] virtual MemoryFootprint footprint() const = 0;
 
-  /// Hints the kernel that v's adjacency span will be touched soon
-  /// (MADV_WILLNEED). The mmap tier issues it only when the span clears a
-  /// page-sized floor (per-vertex syscalls on short lists would cost more
-  /// than the faults they save); everywhere else this is a no-op.
-  virtual void prefetch_adjacency(VertexId /*v*/) const {}
-
   /// Releases the mapped adjacency spans back to the kernel
-  /// (MADV_DONTNEED) once a partition run has committed — the cold spans
-  /// stay addressable and re-fault from the page cache/file on next use.
+  /// (MADV_DONTNEED, Linux only) once a partition run has committed — the
+  /// cold spans stay addressable and re-fault from the page cache/file on
+  /// next use. A no-op on every other tier and platform.
   virtual void release_cold_pages() const {}
-
-  /// madvise syscalls this storage has issued (all advice kinds).
-  [[nodiscard]] virtual std::uint64_t madvise_calls() const { return 0; }
 };
 
 /// Wraps already-built CSR arrays (the default tier).

@@ -13,7 +13,15 @@ EdgePartition Partitioner::partition(const Graph& g,
                                      RunContext& ctx) const {
   config.validate();
   ctx.begin_run(name());
+  // Leaves the run on every exit path, a cancellation throw included.
+  struct RunScope {
+    RunContext& ctx;
+    ~RunScope() { ctx.end_run(); }
+  } scope{ctx};
   ctx.check_cancelled();
+  // A composite's base partitioners run nested inside its run: the outer
+  // call alone counts the run, times it and releases the graph's pages.
+  if (!ctx.outermost_run()) return do_partition(g, config, ctx);
   // Storage-tier gauges: which tier the graph actually arrived on, and its
   // resident/mapped split. set() (not add) — they describe the input, and
   // repeat runs against the same graph must not accumulate.
@@ -29,10 +37,8 @@ EdgePartition Partitioner::partition(const Graph& g,
   }();
   // Partition committed: the mapped adjacency spans are cold now — hand
   // them back to the kernel so a budgeted pipeline's next stage starts
-  // from a clean page slate. Gauge the madvise traffic (load-scan hint +
-  // prefetches + this release) so budget regressions show up per run.
+  // from a clean page slate.
   g.release_cold_pages();
-  ctx.telemetry().set("madvise_calls", static_cast<double>(g.madvise_calls()));
   return result;
 }
 

@@ -1,10 +1,11 @@
 // Abstract edge-partitioner interface shared by TLP and all baselines.
 //
 // The public entry points are non-virtual: they validate the config, stamp
-// the run into the RunContext (telemetry "runs" counter + "total_s" timer),
-// honour cancellation, and then dispatch to the protected do_partition()
-// hook each algorithm implements. The two-arg overload is a convenience
-// wrapper that runs against a throwaway context.
+// the run into the RunContext (telemetry "runs" counter + "total_s" timer,
+// once per outermost call — a composite's nested base runs are part of its
+// run), honour cancellation, and then dispatch to the protected
+// do_partition() hook each algorithm implements. The two-arg overload is a
+// convenience wrapper that runs against a throwaway context.
 #pragma once
 
 #include <cmath>

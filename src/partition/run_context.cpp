@@ -165,6 +165,7 @@ void RunContext::check_cancelled() const {
 }
 
 void RunContext::begin_run(std::string_view algorithm) {
+  if (depth_++ > 0) return;
   ++runs_;
   last_algorithm_.assign(algorithm);
   telemetry_.add("runs");

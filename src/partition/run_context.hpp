@@ -284,13 +284,21 @@ class RunContext {
   /// Throws RunCancelled if a stop was requested or the deadline passed.
   void check_cancelled() const;
 
-  /// Called by Partitioner::partition() on entry: bumps the "runs" counter
-  /// and records the algorithm name.
+  /// Called by Partitioner::partition() on entry, paired with end_run() on
+  /// exit. Only the outermost call counts as a run: it bumps the "runs"
+  /// counter and records the algorithm name. A composite partitioner that
+  /// runs its bases on the same context nests inside that one run.
   void begin_run(std::string_view algorithm);
+  void end_run() { --depth_; }
 
-  /// Number of partition() calls that entered through this context.
+  /// True iff exactly one partition() call is in flight on this context
+  /// (the outermost one owns the run's "total_s" and cold-page release).
+  [[nodiscard]] bool outermost_run() const { return depth_ == 1; }
+
+  /// Number of outermost partition() calls that entered this context.
   [[nodiscard]] std::uint64_t runs() const { return runs_; }
-  /// Name of the most recent algorithm run (empty before the first run).
+  /// Name of the most recent outermost algorithm run (empty before the
+  /// first run).
   [[nodiscard]] const std::string& last_algorithm() const {
     return last_algorithm_;
   }
@@ -313,6 +321,7 @@ class RunContext {
   Telemetry telemetry_;
   CancelToken cancel_;
   std::uint64_t runs_ = 0;
+  std::uint32_t depth_ = 0;  // partition() calls currently on the stack
   std::string last_algorithm_;
   std::vector<std::unique_ptr<RunContext>> children_;
 };

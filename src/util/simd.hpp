@@ -34,17 +34,8 @@
 
 namespace tlp::simd {
 
-/// True iff the running CPU supports SSE4.2 (always false on non-x86 or
+/// True iff the running CPU supports AVX2 (always false on non-x86 or
 /// TLP_DISABLE_SIMD builds).
-inline bool cpu_supports_sse42() {
-#if TLP_SIMD_X86
-  return __builtin_cpu_supports("sse4.2") != 0;
-#else
-  return false;
-#endif
-}
-
-/// True iff the running CPU supports AVX2.
 inline bool cpu_supports_avx2() {
 #if TLP_SIMD_X86
   return __builtin_cpu_supports("avx2") != 0;

@@ -18,6 +18,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
+#include "util/simd.hpp"
 
 namespace tlp {
 namespace {
@@ -37,7 +38,7 @@ class KernelGuard {
 
 std::vector<Kernel> supported_kernels() {
   std::vector<Kernel> kernels;
-  for (const Kernel k : {Kernel::kScalar, Kernel::kSse42, Kernel::kAvx2}) {
+  for (const Kernel k : {Kernel::kScalar, Kernel::kAvx2}) {
     if (intersect::supported(k)) kernels.push_back(k);
   }
   return kernels;
@@ -82,32 +83,34 @@ void expect_all_kernels_agree(const std::vector<VertexId>& a,
 }
 
 TEST(IntersectKernels, ScalarAlwaysSupported) {
+  KernelGuard guard;  // restore whatever the suite default is
   EXPECT_TRUE(intersect::supported(Kernel::kScalar));
   EXPECT_TRUE(intersect::set_active(Kernel::kScalar));
   EXPECT_EQ(intersect::active_kind(), Kernel::kScalar);
-  KernelGuard guard;  // restore whatever the suite default is
 }
 
 TEST(IntersectKernels, NamesRoundTrip) {
-  for (const Kernel k : {Kernel::kScalar, Kernel::kSse42, Kernel::kAvx2}) {
-    Kernel parsed{};
-    ASSERT_TRUE(intersect::kernel_from_name(intersect::kernel_name(k),
-                                            parsed));
-    EXPECT_EQ(parsed, k);
-  }
-  Kernel out{};
-  EXPECT_FALSE(intersect::kernel_from_name("avx512", out));
-  EXPECT_FALSE(intersect::kernel_from_name("", out));
+  EXPECT_EQ(intersect::kernel_name(Kernel::kScalar), "scalar");
+  EXPECT_EQ(intersect::kernel_name(Kernel::kAvx2), "avx2");
+}
+
+TEST(IntersectKernels, ScalarOnlyBuildDispatchesScalar) {
+  // CPUID alone picks the process default; nothing in the environment can
+  // move it. A scalar-only build has no vector row to pick.
+#if !TLP_SIMD_X86
+  EXPECT_EQ(intersect::best_supported(), Kernel::kScalar);
+  EXPECT_EQ(intersect::active_kind(), Kernel::kScalar);
+#else
+  EXPECT_EQ(intersect::active_kind(), intersect::best_supported());
+#endif
 }
 
 TEST(IntersectKernels, SetActiveRejectsUnsupported) {
   KernelGuard guard;
   const Kernel before = intersect::active_kind();
-  for (const Kernel k : {Kernel::kSse42, Kernel::kAvx2}) {
-    if (!intersect::supported(k)) {
-      EXPECT_FALSE(intersect::set_active(k));
-      EXPECT_EQ(intersect::active_kind(), before) << "table must not change";
-    }
+  if (!intersect::supported(Kernel::kAvx2)) {
+    EXPECT_FALSE(intersect::set_active(Kernel::kAvx2));
+    EXPECT_EQ(intersect::active_kind(), before) << "table must not change";
   }
 }
 
@@ -124,8 +127,8 @@ TEST(IntersectKernels, EmptyAndTrivialLists) {
 
 TEST(IntersectKernels, DisjointAndIdenticalAcrossLaneRemainders) {
   KernelGuard guard;
-  // Lengths 0..65 cross every remainder of the 4-lane and 8-lane blocks
-  // (and the 64 -> 65 boundary of two full AVX2 sweeps plus a tail of 1).
+  // Lengths 0..65 cross every remainder of the 8-lane blocks (and the
+  // 64 -> 65 boundary of two full AVX2 sweeps plus a tail of 1).
   for (std::size_t n = 0; n <= 65; ++n) {
     std::vector<VertexId> evens;
     std::vector<VertexId> odds;

@@ -3,10 +3,8 @@
 // combination. The kernels change instruction selection, never
 // values; this suite is the executable proof.
 //
-// Kernels are swept in-process via intersect::set_active (the TLP_KERNEL
-// env path is exercised end-to-end by tools/check.sh's kernel-matrix leg,
-// which partitions through the CLI under each env value and byte-compares
-// the outputs).
+// Kernels are swept in-process via intersect::set_active, the only way to
+// move the table off the CPUID default.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -40,7 +38,7 @@ class KernelGuard {
 
 std::vector<Kernel> supported_kernels() {
   std::vector<Kernel> kernels;
-  for (const Kernel k : {Kernel::kScalar, Kernel::kSse42, Kernel::kAvx2}) {
+  for (const Kernel k : {Kernel::kScalar, Kernel::kAvx2}) {
     if (intersect::supported(k)) kernels.push_back(k);
   }
   return kernels;

@@ -1,9 +1,11 @@
 // Tests for the partitioner registry and builtin registration.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 
 #include "bench_common/runner.hpp"
+#include "gen/generators.hpp"
 #include "partition/registry.hpp"
 
 namespace tlp {
@@ -20,6 +22,27 @@ TEST(Registry, BuiltinsAreRegistered) {
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->name(), name);
   }
+}
+
+TEST(Registry, CompositeRunCountsOnceAndTimesOnlyItsWallClock) {
+  // tlp+refine runs four partition() calls of its own (two refined legs,
+  // each around its base); they nest inside the one outer run, so the
+  // context sees one run and one total_s no longer than the call took.
+  bench::register_builtin_partitioners();
+  const Graph g = gen::chung_lu_power_law(2000, 9000, 2.1, 5);
+  PartitionConfig config;
+  config.num_partitions = 4;
+  RunContext ctx;
+  const auto start = std::chrono::steady_clock::now();
+  (void)make_partitioner("tlp+refine")->partition(g, config, ctx);
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  EXPECT_EQ(ctx.runs(), 1u);
+  EXPECT_EQ(ctx.telemetry().counter("runs"), 1.0);
+  EXPECT_EQ(ctx.last_algorithm(), "tlp+refine");
+  EXPECT_GT(ctx.telemetry().timer_seconds("total_s"), 0.0);
+  EXPECT_LE(ctx.telemetry().timer_seconds("total_s"), wall_s);
 }
 
 TEST(Registry, RegistrationIsIdempotent) {

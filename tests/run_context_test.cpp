@@ -249,9 +249,12 @@ TEST(RunContext, CancelledRunAbortsPartitioning) {
   RunContext ctx;
   ctx.cancel().request_stop();
   EXPECT_THROW((void)tlp.partition(g, config, ctx), RunCancelled);
-  // The context stays usable after a reset.
+  // The context stays usable after a reset, and the aborted call left the
+  // run depth balanced: the next call is an outermost run again.
   ctx.cancel().reset();
   EXPECT_NO_THROW((void)tlp.partition(g, config, ctx));
+  EXPECT_EQ(ctx.runs(), 2u);
+  EXPECT_GT(ctx.telemetry().timer_seconds("total_s"), 0.0);
 }
 
 TEST(RunContext, ExpiredDeadlineAbortsPartitioning) {

@@ -121,32 +121,6 @@ TEST_F(StorageDifferential, EveryRegisteredPartitionerTierInvariant) {
   fs::remove(path);
 }
 
-TEST_F(StorageDifferential, MadviseToggleIsValueInvariant) {
-  // madvise is purely advisory — paging hints must never change a single
-  // assignment, on any tier, for the algorithms that drive prefetch from
-  // their two-hop passes.
-  PartitionConfig config;
-  config.num_partitions = 8;
-  const bool saved = madvise_enabled();
-  const EdgePartition expected_tlp =
-      TlpPartitioner{}.partition(reference(), config);
-  const EdgePartition expected_multi =
-      MultiTlpPartitioner{}.partition(reference(), config);
-  for (const bool enabled : {true, false}) {
-    set_madvise_enabled(enabled);
-    for (const auto& [label, options] : tier_sweep()) {
-      SCOPED_TRACE(std::string("madvise=") + (enabled ? "on" : "off") +
-                   " on " + label);
-      const Graph tiered = io::load_csr_file(csr_path(), options);
-      EXPECT_EQ(TlpPartitioner{}.partition(tiered, config).raw(),
-                expected_tlp.raw());
-      EXPECT_EQ(MultiTlpPartitioner{}.partition(tiered, config).raw(),
-                expected_multi.raw());
-    }
-  }
-  set_madvise_enabled(saved);
-}
-
 TEST_F(StorageDifferential, SpillBuiltGraphPartitionsIdentically) {
   // The same edge stream through the in-memory builder and through the
   // external-sort spill path (tiny budget, many runs) must yield graphs

@@ -1,11 +1,15 @@
 // Storage-policy seam: tier round-trips, word/span boundaries (vertex 0,
 // last vertex, isolated vertices), resident/mapped accounting, the TLPC
-// header/payload validation, and spill-file lifecycle.
+// header/payload validation, spill-file lifecycle, and the mmap tier's
+// cold-page release.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -278,6 +282,54 @@ TEST(Storage, GraphCopySharesStorage) {
   const Graph copy = g;  // shallow: same storage, same pointers
   EXPECT_EQ(copy.neighbors(0).data(), g.neighbors(0).data());
   expect_same_graph(g, copy);
+}
+
+/// Resident file-backed memory of this process in bytes: RssFile plus
+/// RssShmem from /proc/self/status (a mapping of a tmpfs file counts as
+/// shmem). Returns 0 if the fields are missing.
+std::uint64_t rss_file_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::uint64_t kb_total = 0;
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssFile:", 0) == 0 || line.rfind("RssShmem:", 0) == 0) {
+      std::istringstream fields(line.substr(line.find(':') + 1));
+      std::uint64_t kb = 0;
+      fields >> kb;
+      kb_total += kb;
+    }
+  }
+  return kb_total * 1024;
+}
+
+TEST(Storage, ReleaseColdPagesDropsMappedAdjacency) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "MADV_DONTNEED release is Linux-only";
+#else
+  // ~10 MB of adjacency plus mirror: far above RssFile's page-level noise.
+  const Graph built = gen::erdos_renyi(100000, 400000, 23);
+  const fs::path path = temp_file("tlp_storage_release_" +
+                                  std::to_string(::getpid()) + ".tlpc");
+  io::write_csr_file(built, path);
+  const Graph g = io::load_csr_file(path, StorageOptions::parse("mmap"));
+  fs::remove(path);  // the mapping keeps the data alive
+
+  std::uint64_t sum = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const Neighbor& nb : g.neighbors(v)) sum += nb.vertex + nb.edge;
+    for (const VertexId u : g.neighbor_ids(v)) sum += u;
+  }
+  EXPECT_GT(sum, 0u);
+  const std::uint64_t span_bytes =
+      2 * static_cast<std::uint64_t>(g.num_edges()) *
+      (sizeof(Neighbor) + sizeof(VertexId));
+  const std::uint64_t before = rss_file_bytes();
+  ASSERT_GE(before, span_bytes) << "adjacency spans not resident after touch";
+  g.release_cold_pages();
+  const std::uint64_t after = rss_file_bytes();
+  EXPECT_GE(before - std::min(before, after), span_bytes / 2)
+      << "RssFile+RssShmem before=" << before << " after=" << after;
+#endif
 }
 
 }  // namespace
