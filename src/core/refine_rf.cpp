@@ -5,20 +5,30 @@
 
 namespace tlp {
 
+namespace {
+
+/// Edges between two cancel-token polls inside a sweep (the engine polls
+/// every 4096 heap pops for the same reason: a poll may read the clock).
+constexpr EdgeId kCancelPollEdges = 4096;
+
+}  // namespace
+
 RefineResult refine_replication(const Graph& g, EdgePartition& partition,
-                                const RefineOptions& options) {
+                                const RefineOptions& options,
+                                RunContext& ctx) {
   RefineResult result;
   const PartitionId p = partition.num_partitions();
   if (p < 2 || g.num_edges() == 0) return result;
 
-  ScratchArena arena;
-  refine::MoveState state(g, partition, arena);
+  refine::MoveState state(g, partition, ctx.arena());
   const EdgeId cap =
       refine::MoveState::cap_for(g.num_edges(), p, options.balance_slack);
 
   for (int pass = 0; pass < options.max_passes; ++pass) {
+    ctx.check_cancelled();
     std::size_t moves_this_pass = 0;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (e % kCancelPollEdges == kCancelPollEdges - 1) ctx.check_cancelled();
       const PartitionId from = partition.partition_of(e);
       if (from == kNoPartition) continue;
       const Edge& edge = g.edge(e);
@@ -38,12 +48,18 @@ RefineResult refine_replication(const Graph& g, EdgePartition& partition,
   return result;
 }
 
+RefineResult refine_replication(const Graph& g, EdgePartition& partition,
+                                const RefineOptions& options) {
+  RunContext ctx;
+  return refine_replication(g, partition, options, ctx);
+}
+
 RefineResult refine_partition(const Graph& g, EdgePartition& partition,
                               const RefineOptions& options, RunContext& ctx) {
   RefineResult result;
   switch (options.engine) {
     case RefineEngine::kGreedy:
-      result = refine_replication(g, partition, options);
+      result = refine_replication(g, partition, options, ctx);
       break;
     case RefineEngine::kGainHeap: {
       refine::EngineOptions engine_options;
@@ -58,6 +74,8 @@ RefineResult refine_partition(const Graph& g, EdgePartition& partition,
       result.escape_moves = stats.escape_moves;
       result.rollbacks = stats.rollbacks;
       result.heap_rebuilds = stats.heap_rebuilds;
+      result.reindexed = stats.reindexed;
+      result.requeued = stats.requeued;
       break;
     }
   }
@@ -84,6 +102,8 @@ EdgePartition RefinedPartitioner::do_partition(const Graph& g,
   t.add("refine_escape_moves", static_cast<double>(refined.escape_moves));
   t.add("refine_rollbacks", static_cast<double>(refined.rollbacks));
   t.add("refine_heap_rebuilds", static_cast<double>(refined.heap_rebuilds));
+  t.add("refine_reindexed", static_cast<double>(refined.reindexed));
+  t.add("refine_requeued", static_cast<double>(refined.requeued));
   return result;
 }
 

@@ -51,19 +51,30 @@ struct RefineResult {
   std::size_t rollbacks = 0;
   /// kGainHeap: full reindexes + heap compactions (0 for greedy).
   std::size_t heap_rebuilds = 0;
+  /// kGainHeap: best_move calls outside the pass-start rebuild, and
+  /// parked (cap-blocked) edges re-evaluated (0 for greedy).
+  std::size_t reindexed = 0;
+  std::size_t requeued = 0;
 };
 
 /// The greedy oracle: ascending-edge-order sweeps applying every strictly
 /// positive-gain admissible move until a sweep moves nothing or max_passes
 /// is hit. Ignores every option except max_passes / balance_slack.
 /// Refines `partition` in place; the result is complete/in-range if the
-/// input was (only assignments move).
+/// input was (only assignments move). Scratch comes from ctx's arena, and
+/// ctx's cancel token is polled at every sweep and every 4096 edges: a
+/// stop or a passed deadline throws RunCancelled, leaving the moves made
+/// so far in place.
+RefineResult refine_replication(const Graph& g, EdgePartition& partition,
+                                const RefineOptions& options, RunContext& ctx);
+
+/// Convenience overload owning a private context (tests, one-shot callers).
 RefineResult refine_replication(const Graph& g, EdgePartition& partition,
                                 const RefineOptions& options = {});
 
-/// Dispatches to the engine selected in `options`; scratch comes from ctx
-/// for kGainHeap (kGreedy owns its own). kGainHeap polls ctx's cancel
-/// token and throws RunCancelled when it fires (see refine/engine.hpp).
+/// Dispatches to the engine selected in `options`; scratch comes from ctx,
+/// and both engines poll ctx's cancel token and throw RunCancelled when it
+/// fires (see refine/engine.hpp).
 RefineResult refine_partition(const Graph& g, EdgePartition& partition,
                               const RefineOptions& options, RunContext& ctx);
 

@@ -1,5 +1,7 @@
 #include "refine/engine.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -33,6 +35,10 @@ class SerialRun {
         state_(g, partition, ctx.arena()),
         heap_(ctx.arena(), g.num_edges()),
         locked_(ctx.arena().acquire<std::uint32_t>(g.num_edges(), 0)),
+        parked_on_(ctx.arena().acquire<PartitionId>(g.num_edges(),
+                                                    kNoPartition)),
+        parked_gain_(ctx.arena().acquire<std::int8_t>(g.num_edges(), 0)),
+        parked_(partition.num_partitions()),
         cap_(MoveState::cap_for(g.num_edges(), partition.num_partitions(),
                                 options.balance_slack)),
         floor_(MoveState::floor_for(g.num_edges(), partition.num_partitions(),
@@ -54,32 +60,111 @@ class SerialRun {
 
  private:
   /// Full reindex: one heap rebuild per pass. Edges locked by THIS pass
-  /// never exist here (a pass starts with everything unlocked).
+  /// never exist here (a pass starts with everything unlocked), and the
+  /// parked lists start empty.
   void rebuild_heap() {
     heap_.clear();
+    for (auto& ladder : parked_) {
+      for (auto& bucket : ladder) bucket.clear();
+    }
+    std::fill(parked_on_->begin(), parked_on_->end(), kNoPartition);
     for (EdgeId e = 0; e < g_.num_edges(); ++e) {
       const PartitionId from = partition_.partition_of(e);
       if (from == kNoPartition) continue;
       const MoveState::Candidate cand =
           state_.best_move(g_.edge(e), from, cap_);
       if (cand.to != kNoPartition) heap_.update(e, cand.gain);
+      park(e, cand);
     }
   }
 
-  /// Recomputes the best move of every unlocked edge incident to v and
-  /// rekeys (or drops) its heap entry. O(deg(v)) best_move calls.
-  void reindex_around(VertexId v, std::uint32_t pass) {
-    for (const Neighbor& nb : g_.neighbors(v)) {
+  /// Parks e on the partition whose cap blocks its best move, at that
+  /// move's gain (cand.blocked == kNoPartition unparks). parked_on_ and
+  /// parked_gain_ name an edge's one live entry; entries that disagree
+  /// with them are stale and skipped.
+  void park(EdgeId e, const MoveState::Candidate& cand) {
+    if (cand.blocked == kNoPartition) {
+      parked_on_[e] = kNoPartition;
+      return;
+    }
+    if (parked_on_[e] == cand.blocked &&
+        parked_gain_[e] == cand.blocked_gain) {
+      return;  // already parked there: no duplicate entry
+    }
+    parked_on_[e] = cand.blocked;
+    parked_gain_[e] = static_cast<std::int8_t>(cand.blocked_gain);
+    parked_[cand.blocked][GainHeap::bucket_of(cand.blocked_gain)].push_back(e);
+  }
+
+  /// Recomputes f's best move and rekeys (or drops) its heap entry.
+  void reindex(EdgeId f, PartitionId from, EngineStats& stats) {
+    ++stats.reindexed;
+    const MoveState::Candidate cand = state_.best_move(g_.edge(f), from, cap_);
+    if (cand.to != kNoPartition) {
+      heap_.update(f, cand.gain);
+    } else {
+      heap_.remove(f);
+    }
+    park(f, cand);
+  }
+
+  /// Rekeys the unlocked edges at x after an edge at x moved from `a` to
+  /// `b` (the delta-gain rule, docs/REFINEMENT.md §3). If x's replica set
+  /// changed, every gain at x may have; otherwise only the freed term of
+  /// x's last edge in `a` (count 1) or its other edge in `b` (count 2)
+  /// can. Every other edge in the heap is re-pushed at its current key,
+  /// which keeps the heap's LIFO recency the same as a full recompute
+  /// would; one that is not in the heap gets a fresh best_move.
+  void reindex_around(VertexId x, PartitionId a, PartitionId b,
+                      std::uint32_t pass, EngineStats& stats) {
+    const std::uint32_t in_a = state_.count(x, a);
+    const std::uint32_t in_b = state_.count(x, b);
+    const bool whole = in_a == 0 || in_b == 1;
+    const PartitionId last_a = in_a == 1 ? a : kNoPartition;
+    const PartitionId pair_b = in_b == 2 ? b : kNoPartition;
+    const bool some = last_a != kNoPartition || pair_b != kNoPartition;
+    for (const Neighbor& nb : g_.neighbors(x)) {
       const EdgeId f = nb.edge;
-      if (locked_[f] == pass) continue;
-      const PartitionId from = partition_.partition_of(f);
-      if (from == kNoPartition) continue;
-      const MoveState::Candidate cand =
-          state_.best_move(g_.edge(f), from, cap_);
-      if (cand.to != kNoPartition) {
-        heap_.update(f, cand.gain);
-      } else {
-        heap_.remove(f);
+      if (!heap_.contains(f)) {
+        if (locked_[f] == pass) continue;
+        const PartitionId from = partition_.partition_of(f);
+        if (from != kNoPartition) reindex(f, from, stats);
+        continue;
+      }
+      // A live entry implies f is unlocked and assigned, so on a hub the
+      // common case reads no per-edge state but the heap's own.
+      if (whole || some) {
+        const PartitionId from = partition_.partition_of(f);
+        if (whole || from == last_a || from == pair_b) {
+          reindex(f, from, stats);
+          continue;
+        }
+      }
+      heap_.update(f, heap_.gain_of(f));
+    }
+  }
+
+  /// A move took k down to cap - 1, which leaves room for one more edge.
+  /// Requeues the best edge parked on k (highest parked gain, most
+  /// recently parked first) whose key the release raises. The others stay
+  /// parked: re-pushing them all would bury the heap's recency order under
+  /// edges that find k full again one move later.
+  void requeue(PartitionId k, std::uint32_t pass, EngineStats& stats) {
+    for (std::size_t b = GainHeap::kNumBuckets; b-- > 0;) {
+      std::vector<EdgeId>& bucket = parked_[k][b];
+      while (!bucket.empty()) {
+        const EdgeId f = bucket.back();
+        bucket.pop_back();
+        if (parked_on_[f] != k || GainHeap::bucket_of(parked_gain_[f]) != b) {
+          continue;  // stale: re-parked or unparked since
+        }
+        parked_on_[f] = kNoPartition;
+        if (locked_[f] == pass) continue;
+        const int before =
+            heap_.contains(f) ? heap_.gain_of(f) : GainHeap::kMinGain - 1;
+        ++stats.requeued;
+        reindex(f, partition_.partition_of(f), stats);
+        if (heap_.contains(f) && heap_.gain_of(f) > before) return;
       }
     }
   }
@@ -104,6 +189,7 @@ class SerialRun {
       // The heap entry is a hint from whenever e was last indexed; the
       // state may have drifted under it (loads, neighbor replica sets).
       // Recompute, and if the truth differs, re-rank instead of applying.
+      ++stats.reindexed;
       const MoveState::Candidate cand = state_.best_move(edge, from, cap_);
       if (cand.to == kNoPartition) continue;  // nothing admissible anymore
       if (cand.gain != top.gain) {
@@ -133,8 +219,9 @@ class SerialRun {
         best_net = net;
         best_len = log_.size();
       }
-      reindex_around(edge.u, pass);
-      if (edge.u != edge.v) reindex_around(edge.v, pass);
+      if (state_.load(from) + 1 == cap_) requeue(from, pass, stats);
+      reindex_around(edge.u, from, cand.to, pass, stats);
+      if (edge.u != edge.v) reindex_around(edge.v, from, cand.to, pass, stats);
     }
 
     // Rollback-to-best: undo everything past the best prefix, in reverse.
@@ -159,6 +246,13 @@ class SerialRun {
   /// Pass id in which each edge was moved (0 = never); an edge locked by
   /// the current pass is not movable again until the next pass.
   ScratchArena::Lease<std::uint32_t> locked_;
+  /// The partition each edge is parked on (kNoPartition = none) and the
+  /// blocked gain it was parked at; per partition, a ladder of parked
+  /// edges by that gain (the GainHeap's buckets, LIFO) for requeue().
+  ScratchArena::Lease<PartitionId> parked_on_;
+  ScratchArena::Lease<std::int8_t> parked_gain_;
+  std::vector<std::array<std::vector<EdgeId>, GainHeap::kNumBuckets>>
+      parked_;
   const EdgeId cap_;
   const EdgeId floor_;
   std::vector<MoveRecord> log_;

@@ -4,21 +4,33 @@
 //
 // Each pass (docs/REFINEMENT.md):
 //   1. Full reindex: every assigned edge's best admissible move goes into
-//      the lazy-invalidation GainHeap (one heap rebuild per pass).
+//      the lazy-invalidation GainHeap (one heap rebuild per pass), and an
+//      edge whose best move the cap blocks is parked on that target.
 //   2. Pop the max-gain edge; recompute its best move against the CURRENT
 //      state (loads and replica sets drift under it — the heap is a hint,
 //      the recompute is the truth). A changed gain is re-pushed, not
 //      applied.
-//   3. Positive gain: apply, lock the edge for the pass (each edge moves
-//      at most once per pass — the FM discipline that prevents A->B->A
-//      thrash), and reindex the O(deg(u) + deg(v)) edges incident to the
-//      moved endpoints (a move changes only those two replica sets).
-//   4. Non-positive gain: if the escape budget allows, apply it anyway and
-//      keep walking (the KL insight: a locally-pessimal move can unlock a
-//      better optimum). The cumulative gain is tracked against the best
-//      prefix seen; when a pass ends, moves past that best point are
-//      rolled back in reverse, so an unsuccessful escape walk costs
-//      nothing.
+//   3. Positive gain: apply and lock the edge for the pass (each edge
+//      moves at most once per pass — the FM discipline that prevents
+//      A->B->A thrash). Then rekey the edges at the moved endpoints by the
+//      delta-gain rule: for a move A -> B, an endpoint x whose replica set
+//      changed (count(x, A) == 0 or count(x, B) == 1) has every incident
+//      gain recomputed; otherwise only the freed term of x's edges in A
+//      (count(x, A) == 1) or in B (count(x, B) == 2) can have changed, so
+//      only those are recomputed. Every other incident edge in the heap is
+//      re-pushed at its current key, which keeps the heap's LIFO recency
+//      (the escape walk's order) as a full recompute would leave it.
+//      Loads change too, and only through the cap: a target that fills
+//      leaves an over-estimate the pop-time recompute corrects, while a
+//      target that drops below the cap would leave an under-estimate
+//      nothing revisits. So when the move takes A down to cap - 1, the
+//      best edge parked on A is re-evaluated first (A has room for one).
+//   4. Non-positive gain: if the escape budget allows, apply it anyway
+//      (rekeying as in 3) and keep walking (the KL insight: a
+//      locally-pessimal move can unlock a better optimum). The cumulative
+//      gain is tracked against the best prefix seen; when a pass ends,
+//      moves past that best point are rolled back in reverse, so an
+//      unsuccessful escape walk costs nothing.
 // Passes repeat (unlocking everything) until one produces no surviving
 // move or max_passes is hit.
 //
@@ -69,6 +81,12 @@ struct EngineStats {
   std::size_t rollbacks = 0;
   /// Full per-pass reindexes + in-heap compaction events.
   std::size_t heap_rebuilds = 0;
+  /// best_move calls outside the pass-start rebuild: pop revalidations,
+  /// the post-move delta-gain reindex, and parked-edge requeues.
+  std::size_t reindexed = 0;
+  /// Parked edges re-evaluated because their partition dropped below the
+  /// cap (each is also counted in `reindexed`).
+  std::size_t requeued = 0;
   int passes = 0;
 };
 

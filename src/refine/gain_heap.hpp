@@ -41,6 +41,11 @@ class GainHeap {
   static constexpr std::size_t kCompactFactor = 4;
   static constexpr std::size_t kCompactMin = 64;
 
+  /// The ladder index of a gain in [kMinGain, kMaxGain].
+  [[nodiscard]] static std::size_t bucket_of(int gain) {
+    return static_cast<std::size_t>(gain - kMinGain);
+  }
+
   GainHeap(ScratchArena& arena, std::size_t capacity)
       : gain_(arena.acquire<std::int8_t>(capacity, kNoGain)),
         version_(arena.acquire<std::uint32_t>(capacity, 0)) {
@@ -135,10 +140,6 @@ class GainHeap {
     std::uint64_t id;
     std::uint32_t version;
   };
-
-  [[nodiscard]] static std::size_t bucket_of(int gain) {
-    return static_cast<std::size_t>(gain - kMinGain);
-  }
 
   /// Erases stale entries in place, preserving relative (LIFO) order of
   /// the live ones.

@@ -190,6 +190,12 @@ class MoveState {
   struct Candidate {
     PartitionId to = kNoPartition;
     int gain = 0;
+    /// The best target the cap blocks, when its gain beats the admissible
+    /// one (or nothing is admissible), and that gain; kNoPartition
+    /// otherwise. The engine parks the edge there until that partition
+    /// drops below the cap.
+    PartitionId blocked = kNoPartition;
+    int blocked_gain = 0;
   };
 
   /// Best admissible move for e out of `from`: the highest-gain target
@@ -198,7 +204,8 @@ class MoveState {
   /// differential suite meaningful. Candidates are the partitions already
   /// hosting an endpoint (every strictly-improving move lies there, since
   /// gain > 0 needs created <= 1); the returned gain may still be <= 0 —
-  /// escape-move callers want those, hill-climb callers filter.
+  /// escape-move callers want those, hill-climb callers filter. The same
+  /// rule picks `blocked` among the targets at the cap.
   [[nodiscard]] Candidate best_move(const Edge& edge, PartitionId from,
                                     EdgeId cap) const {
     Candidate best;
@@ -206,25 +213,38 @@ class MoveState {
     const std::uint64_t* wu = replicas_.words(edge.u);
     const std::uint64_t* wv = replicas_.words(edge.v);
     const bool loop = edge.u == edge.v;
+    const auto beats = [&](PartitionId to, int g, PartitionId incumbent,
+                           int incumbent_gain) {
+      // Ascending scan: the strict lexicographic compare keeps the
+      // lowest id among full ties automatically.
+      return incumbent == kNoPartition || g > incumbent_gain ||
+             (g == incumbent_gain &&
+              (loads_[to] < loads_[incumbent] ||
+               (loads_[to] == loads_[incumbent] && to < incumbent)));
+    };
     for (std::size_t w = 0; w < replicas_.words_per_vertex(); ++w) {
       std::uint64_t bits = wu[w] | wv[w];
       while (bits != 0) {
         const int b = std::countr_zero(bits);
         bits &= bits - 1;
         const auto to = static_cast<PartitionId>(w * 64 + b);
-        if (to == from || loads_[to] + 1 > cap) continue;
+        if (to == from) continue;
         const int created = (((wu[w] >> b) & 1ULL) != 0 ? 0 : 1) +
                             (!loop && ((wv[w] >> b) & 1ULL) == 0 ? 1 : 0);
         const int g = freed_here - created;
-        // Ascending scan: the strict lexicographic compare keeps the
-        // lowest id among full ties automatically.
-        if (best.to == kNoPartition || g > best.gain ||
-            (g == best.gain &&
-             (loads_[to] < loads_[best.to] ||
-              (loads_[to] == loads_[best.to] && to < best.to)))) {
-          best = Candidate{to, g};
+        if (loads_[to] + 1 > cap) {
+          if (beats(to, g, best.blocked, best.blocked_gain)) {
+            best.blocked = to;
+            best.blocked_gain = g;
+          }
+        } else if (beats(to, g, best.to, best.gain)) {
+          best.to = to;
+          best.gain = g;
         }
       }
+    }
+    if (best.to != kNoPartition && best.blocked_gain <= best.gain) {
+      best.blocked = kNoPartition;
     }
     return best;
   }

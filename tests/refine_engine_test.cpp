@@ -44,14 +44,80 @@ std::size_t greedy_moves_left(const Graph& g, EdgePartition& part,
 }
 
 TEST(RefineEngine, ConvergesToGreedyFixedPoint) {
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const Graph g = gen::chung_lu_power_law(400, 2000, 2.1, seed);
-    EdgePartition part = random_partition(g, 6, seed);
+  // Slack 1.01 keeps partitions at the cap, so cap-blocked moves (the
+  // parking path) are common as well as at the default slack.
+  for (const double slack : {1.05, 1.01}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph g = gen::chung_lu_power_law(400, 2000, 2.1, seed);
+      EdgePartition part = random_partition(g, 6, seed);
+      refine::EngineOptions options;
+      options.max_passes = 64;  // run to convergence, not a pass budget
+      options.balance_slack = slack;
+      (void)refine::refine_gain(g, part, options);
+      EXPECT_EQ(greedy_moves_left(g, part, slack), 0u)
+          << "slack " << slack << " seed " << seed;
+    }
+  }
+}
+
+TEST(RefineEngine, ParkedEdgeMovesOnceItsTargetDropsBelowTheCap) {
+  // Two paths, partitions A = 0, B = 1, C = 2, cap = 5 (m = 10, p = 3,
+  // slack 1.35). Edge 2 = (2, 3) sits alone in A; moving it to B frees
+  // both endpoints' A replicas (+2), but B holds 5 edges, so the move is
+  // blocked and edge 2 is parked on B. Edge 7 = (8, 9) in B moves to C
+  // (+2) and takes B down to 4. Edge 2 shares no vertex with edge 7, so
+  // only the parked list brings it back: it must move in the same pass,
+  // with no escape moves to stumble on it.
+  const Graph g = Graph::from_edges(
+      12, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
+           {6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}});
+  EdgePartition part(3, g.num_edges());
+  const PartitionId layout[] = {1, 1, 0, 1, 1, 2, 2, 1, 2, 2};
+  for (EdgeId e = 0; e < g.num_edges(); ++e) part.assign(e, layout[e]);
+  ASSERT_EQ(refine::MoveState::cap_for(g.num_edges(), 3, 1.35), 5u);
+
+  refine::EngineOptions options;
+  options.max_passes = 1;
+  options.balance_slack = 1.35;
+  options.escape_budget = 0;
+  const refine::EngineStats stats = refine::refine_gain(g, part, options);
+  EXPECT_EQ(part.partition_of(7), 2u);
+  EXPECT_EQ(part.partition_of(2), 1u);
+  EXPECT_EQ(stats.passes, 1);
+  EXPECT_EQ(stats.moves, 2u);
+  EXPECT_EQ(stats.replicas_removed, 4u);
+  EXPECT_GE(stats.requeued, 1u);
+  EXPECT_TRUE(validate(g, part, config_for(3)).ok());
+}
+
+/// FNV-1a over the partition ids, four little-endian bytes each.
+std::uint64_t fnv1a(const EdgePartition& part) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const PartitionId k : part.raw()) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (static_cast<std::uint64_t>(k) >> (8 * byte)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+TEST(RefineEngine, OutputBytesPinned) {
+  // The move order is part of the engine's contract: any change to it
+  // (the heap's recency, the delta-gain reindex, parking) changes these
+  // bytes and must re-pin the hash on purpose. The generator draws from
+  // the standard library's distributions, so the pin is per toolchain.
+  // Slack 1.01 pins the parking path too: the default slack never fills a
+  // partition on this fixture.
+  const Graph g = gen::chung_lu_power_law(2000, 12000, 2.1, 7);
+  for (const auto& [slack, hash] : {std::pair{1.05, 0xd06aabcfaccfcfe2ULL},
+                                    std::pair{1.01, 0x7e86650c9d7aff30ULL}}) {
+    EdgePartition part = random_partition(g, 8, 7);
     refine::EngineOptions options;
-    options.max_passes = 64;  // run to convergence, not a pass budget
+    options.balance_slack = slack;
     (void)refine::refine_gain(g, part, options);
-    EXPECT_EQ(greedy_moves_left(g, part, options.balance_slack), 0u)
-        << "seed " << seed;
+    EXPECT_TRUE(validate(g, part, config_for(8)).ok()) << "slack " << slack;
+    EXPECT_EQ(fnv1a(part), hash) << "slack " << slack;
   }
 }
 
@@ -171,7 +237,7 @@ TEST(RefineEngine, TelemetryKeysAlwaysPresent) {
     for (const char* key :
          {"refine_moves", "refine_replicas_removed", "refine_passes",
           "refine_gain_applied", "refine_escape_moves", "refine_rollbacks",
-          "refine_heap_rebuilds"}) {
+          "refine_heap_rebuilds", "refine_reindexed", "refine_requeued"}) {
       EXPECT_TRUE(counters.contains(key))
           << key << " missing for engine " << static_cast<int>(engine);
     }

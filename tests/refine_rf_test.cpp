@@ -1,6 +1,8 @@
 // Tests for the replication-factor refinement post-pass.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/refine_rf.hpp"
 #include "core/tlp.hpp"
 #include "baselines/baselines.hpp"
@@ -111,6 +113,53 @@ TEST(RefineRf, TlpGainsLittle) {
   const double rnd_delta = rnd_before - replication_factor(g, rnd);
 
   EXPECT_LT(tlp_delta, rnd_delta);
+}
+
+RefineOptions greedy_options() {
+  RefineOptions options;
+  options.engine = RefineEngine::kGreedy;
+  return options;
+}
+
+TEST(RefineRf, CancelledRunThrowsAndLeavesValidPartition) {
+  // A stop request and an expired deadline both fire at the first sweep;
+  // every applied move is a reassignment, so the partition left behind is
+  // still complete and in range.
+  const Graph g = gen::chung_lu_power_law(500, 2500, 2.1, 3);
+  const auto config = config_for(6);
+  for (const bool deadline : {false, true}) {
+    PartitionConfig seeded = config;
+    seeded.seed = 3;
+    EdgePartition part = baselines::RandomPartitioner{}.partition(g, seeded);
+    const EdgePartition start = part;
+    RunContext ctx;
+    if (deadline) {
+      ctx.cancel().set_timeout(std::chrono::nanoseconds{0});
+    } else {
+      ctx.cancel().request_stop();
+    }
+    EXPECT_THROW((void)refine_partition(g, part, greedy_options(), ctx),
+                 RunCancelled)
+        << (deadline ? "deadline" : "stop");
+    EXPECT_EQ(part.raw(), start.raw()) << (deadline ? "deadline" : "stop");
+    EXPECT_TRUE(validate(g, part, config).ok())
+        << (deadline ? "deadline" : "stop");
+  }
+}
+
+TEST(RefineRf, DeadlineDuringRunThrowsAndLeavesValidPartition) {
+  // A random start on 200k edges keeps the sweeps busy far longer than the
+  // 5 ms budget, so the deadline fires mid-run: at a sweep start or at one
+  // of the polls every 4096 edges.
+  const Graph g = gen::chung_lu_power_law(20000, 200000, 2.1, 5);
+  PartitionConfig config = config_for(8);
+  config.seed = 5;
+  EdgePartition part = baselines::RandomPartitioner{}.partition(g, config);
+  RunContext ctx;
+  ctx.cancel().set_timeout(std::chrono::milliseconds{5});
+  EXPECT_THROW((void)refine_partition(g, part, greedy_options(), ctx),
+               RunCancelled);
+  EXPECT_TRUE(validate(g, part, config).ok());
 }
 
 TEST(RefinedPartitioner, WrapsAndNames) {
