@@ -1,9 +1,14 @@
 // Google-benchmark microbenchmarks: partitioner throughput scaling and the
-// hot substrate operations (CSR construction, common-neighbor counting,
-// frontier churn). Complements the table/figure reproductions with the
-// paper's Section III.E complexity discussion (TLP is O(L^2 d^2) worst
-// case; these curves show the practical near-linear behavior).
+// hot substrate operations (CSR construction, common-neighbor counting per
+// intersect kernel, frontier churn). Complements the table/figure
+// reproductions with the paper's Section III.E complexity discussion (TLP
+// is O(L^2 d^2) worst case; these curves show the practical near-linear
+// behavior).
 #include <benchmark/benchmark.h>
+
+#include <random>
+#include <string>
+#include <vector>
 
 #include "baselines/baselines.hpp"
 #include "core/frontier.hpp"
@@ -12,6 +17,7 @@
 #include "core/tlp.hpp"
 #include "stream/window_tlp.hpp"
 #include "gen/generators.hpp"
+#include "graph/intersect_kernels.hpp"
 #include "metis/multilevel.hpp"
 #include "partition/metrics.hpp"
 
@@ -132,24 +138,38 @@ void BM_CsrConstruction(benchmark::State& state) {
 BENCHMARK(BM_CsrConstruction)->Arg(10000)->Arg(160000)
     ->Unit(benchmark::kMillisecond);
 
+/// One intersect kernel (the argument is its intersect::Kernel value) over
+/// edge-sampled vertex pairs: real power-law adjacency lists, hub pairs
+/// included, so the merge/gallop mix matches what the partitioners see.
+/// Items/s is intersections per second.
 void BM_CommonNeighborCount(benchmark::State& state) {
+  const auto kind = static_cast<intersect::Kernel>(state.range(0));
+  if (!intersect::supported(kind)) {
+    state.SkipWithError("kernel not supported on this CPU/build");
+    return;
+  }
   const Graph g = test_graph(100000);
-  // Pick the two highest-degree vertices (hub-hub = the expensive case).
-  VertexId a = 0;
-  VertexId b = 1;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.degree(v) > g.degree(a)) {
-      b = a;
-      a = v;
-    } else if (g.degree(v) > g.degree(b)) {
-      b = v;
-    }
-  }
+  std::mt19937_64 rng(1234);
+  std::uniform_int_distribution<EdgeId> pick(0, g.num_edges() - 1);
+  std::vector<Edge> pairs(20000);
+  for (Edge& e : pairs) e = g.edge(pick(rng));
+
+  const intersect::Kernel entry = intersect::active_kind();
+  (void)intersect::set_active(kind);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.common_neighbor_count(a, b));
+    std::uint64_t sum = 0;
+    for (const Edge& e : pairs) sum += g.common_neighbor_count(e.u, e.v);
+    benchmark::DoNotOptimize(sum);
   }
+  (void)intersect::set_active(entry);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pairs.size()));
+  state.SetLabel(std::string(intersect::kernel_name(kind)));
 }
-BENCHMARK(BM_CommonNeighborCount);
+BENCHMARK(BM_CommonNeighborCount)
+    ->Arg(static_cast<int>(intersect::Kernel::kScalar))
+    ->Arg(static_cast<int>(intersect::Kernel::kAvx2))
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ReplicationFactor(benchmark::State& state) {
   const Graph g = test_graph(160000);

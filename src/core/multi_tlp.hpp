@@ -34,8 +34,8 @@
 // Table-II switching logic is unchanged; only the growth schedule differs.
 // Unlike the sequential algorithm, a candidate's residual degree and
 // connection counts can DECREASE (another partition may claim its edges),
-// so frontiers are the eagerly-updatable EagerFrontier, not the
-// frozen-degree core/frontier.hpp.
+// so each partition's core/frontier.hpp Frontier is re-stated eagerly
+// through Frontier::upsert rather than grown through add_connection.
 //
 // Telemetry follows the TLP schema (see core/tlp.hpp and docs/API.md):
 // stage counters/degree sums aggregate across all concurrently growing

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/multi_tlp.hpp"
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
 #include "partition/run_context.hpp"
@@ -284,6 +285,44 @@ TEST(RunContext, ArenaHitsFromSecondRunOnward) {
   // Run 2 reuses every buffer run 1 allocated: all hits, no new misses.
   EXPECT_GT(ctx.arena().hits(), hits_after_first);
   EXPECT_EQ(ctx.arena().misses(), misses_after_first);
+}
+
+/// Arena misses of `ctx` plus those of every worker child it has created.
+std::uint64_t total_misses(RunContext& ctx) {
+  std::uint64_t misses = ctx.arena().misses();
+  for (std::size_t i = 0; i < ctx.num_children(); ++i) {
+    misses += ctx.child(i).arena().misses();
+  }
+  return misses;
+}
+
+// Zero steady-state allocation on a hub-heavy graph, for both growth
+// engines: a warm rerun on the same context allocates no new scratch, in the
+// parent arena or in any multi_tlp worker child.
+TEST(RunContext, WarmRerunAddsNoArenaMissesOnPowerLaw) {
+  const Graph g = gen::chung_lu_power_law(4000, 24000, 2.1, 7);
+  PartitionConfig config;
+  config.num_partitions = 8;
+  MultiTlpOptions two_workers;
+  two_workers.num_threads = 2;
+  const TlpPartitioner tlp;
+  const TlpPartitioner tlp_r = make_tlp_r(0.5);
+  const MultiTlpPartitioner multi1;
+  const MultiTlpPartitioner multi2(two_workers);
+  const std::pair<const char*, const Partitioner*> cases[] = {
+      {"tlp", &tlp},
+      {"tlp_r0.5", &tlp_r},
+      {"multi_tlp W=1", &multi1},
+      {"multi_tlp W=2", &multi2}};
+  for (const auto& [label, algo] : cases) {
+    SCOPED_TRACE(label);
+    RunContext ctx;
+    (void)algo->partition(g, config, ctx);
+    const std::uint64_t misses_after_first = total_misses(ctx);
+    EXPECT_GT(misses_after_first, 0u);
+    (void)algo->partition(g, config, ctx);
+    EXPECT_EQ(total_misses(ctx), misses_after_first);
+  }
 }
 
 TEST(RunContext, TracksRunsAndAlgorithm) {

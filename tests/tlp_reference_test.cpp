@@ -1,9 +1,12 @@
-// Differential test: a deliberately naive, paper-literal TLP that rescans
-// and rescores the whole frontier from scratch at every step (Algorithm 1
-// as written, Eqs. 7/9 recomputed each time) must produce EXACTLY the same
-// partition as the optimized incremental implementation. This pins the
-// running-max μs1 cache, the bucketed μs2 selection, the residual
-// bookkeeping, and every tie-break.
+// Differential test against the repo's only growth oracle: a deliberately
+// naive, paper-literal TLP that rescans and rescores the whole frontier from
+// scratch at every step (Algorithm 1 as written, Eqs. 7/9 recomputed each
+// time, the stage switch on M(P_k) or on the TLP_R edge ratio). It must
+// produce EXACTLY the same partition as the optimized incremental
+// implementation. This pins the running-max μs1 cache, the bucketed μs2
+// selection, the two-hop counting branch of the μs1 update (exercised by the
+// hub-heavy power-law case), the residual bookkeeping, both stage rules, and
+// every tie-break.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,13 +24,15 @@ namespace tlp {
 namespace {
 
 /// Brute-force TLP mirroring GrowthRun's semantics 1:1 (restart policy,
-/// overshoot allowed, last round uncapped), but with O(frontier * degree)
-/// recomputation per step and no caching at all.
+/// overshoot allowed, last round uncapped, either stage rule), but with
+/// O(frontier * degree) recomputation per step and no caching at all.
 class NaiveTlp {
  public:
-  NaiveTlp(const Graph& g, const PartitionConfig& config)
+  NaiveTlp(const Graph& g, const PartitionConfig& config,
+           const TlpOptions& options = {})
       : g_(g),
         config_(config),
+        options_(options),
         assigned_(static_cast<std::size_t>(g.num_edges()), false),
         rdeg_(g.num_vertices()),
         member_round_(g.num_vertices(), kNoRound),
@@ -98,6 +103,16 @@ class NaiveTlp {
                           static_cast<double>(dm));
     }
     return best;
+  }
+
+  /// Same test as GrowthRun::in_stage1: TLP is in Stage I while
+  /// M(P_k) <= 1; TLP_R while e_in < R*C, with C the nominal capacity even
+  /// in the uncapped last round.
+  [[nodiscard]] bool in_stage1() const {
+    if (options_.stage_rule == StageRule::kModularity) return e_in_ <= e_out_;
+    return static_cast<double>(e_in_) <
+           options_.stage_ratio *
+               static_cast<double>(config_.capacity(g_.num_edges()));
   }
 
   VertexId select_stage1() const {
@@ -189,7 +204,7 @@ class NaiveTlp {
         v = next_seed();
         if (v == kInvalidVertex) break;
       } else {
-        v = (e_in_ <= e_out_) ? select_stage1() : select_stage2();
+        v = in_stage1() ? select_stage1() : select_stage2();
       }
       join(v, k, partition, unassigned);
     }
@@ -197,6 +212,7 @@ class NaiveTlp {
 
   const Graph& g_;
   const PartitionConfig& config_;
+  const TlpOptions options_;
   std::vector<bool> assigned_;
   std::vector<std::uint32_t> rdeg_;
   std::vector<std::uint32_t> member_round_;
@@ -249,6 +265,26 @@ TEST_P(TlpReference, OptimizedMatchesNaiveExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Differential, TlpReference, ::testing::Range(0, 18));
+
+// Hub-heavy power-law fixture under both stage rules: the hubs make the
+// μs1 update take its two-hop counting branch many times per run, and
+// R = 0 / 0.5 / 1 cover Stage II only, a mid-round switch, and Stage I
+// throughout.
+TEST(TlpReferencePowerLaw, BothStageRulesMatchNaiveExactly) {
+  const Graph g = gen::chung_lu_power_law(1000, 6000, 2.1, 7);
+  PartitionConfig config;
+  config.num_partitions = 8;
+  config.seed = 7;
+  for (const TlpOptions& options :
+       {TlpOptions{}, make_tlp_r(0.0).options(), make_tlp_r(0.5).options(),
+        make_tlp_r(1.0).options()}) {
+    const TlpPartitioner fast_tlp(options);
+    SCOPED_TRACE(fast_tlp.name());
+    const EdgePartition fast = fast_tlp.partition(g, config);
+    const EdgePartition slow = NaiveTlp(g, config, options).run();
+    ASSERT_EQ(fast.raw(), slow.raw());
+  }
+}
 
 }  // namespace
 }  // namespace tlp

@@ -2,20 +2,20 @@
 # Tier-1 verification plus a sanitizer pass.
 #
 #   tools/check.sh            # docs link check, tier-1 build + ctest, then
-#                             # ASan, UBSan, and TSan test runs, then a
-#                             # Release perf smoke
+#                             # ASan, UBSan, and TSan test runs, then the
+#                             # Release smokes
 #   tools/check.sh --fast     # link check + tier-1 only (skip sanitizers +
-#                             # perf smoke)
+#                             # Release smokes)
 #
 # Each configuration builds into its own directory (build/, build-asan/,
 # build-ubsan/, build-tsan/, build-release/) so incremental re-runs stay
 # cheap. The TSan leg only runs the concurrency-relevant suites (the thread
 # pool and the parallel multi-partition growth under its static schedule)
 # with the worker count forced above one. The
-# perf-smoke leg builds the hot-path microbench at -O2 and runs its small
-# fixture: bit-identity of the flat growth structures against the embedded
-# pre-change baseline plus the zero-steady-state-allocation check, with
-# BENCH_hotpath.json left behind as the artifact. The out-of-core leg caps
+# refinement perf smoke runs refine_runtime's win table at -O2. The
+# growth oracle (TlpReference*), the warm-arena gate
+# (RunContext.WarmRerunAddsNoArenaMissesOnPowerLaw) and kernel identity
+# (KernelDifferential*) run in every ctest leg. The out-of-core leg caps
 # the heap with `ulimit -d` below the CSR size and requires the mmap
 # storage tier to reproduce the uncapped reference partition byte-for-byte
 # while the in-memory control run dies on the same cap. The nosimd leg
@@ -75,18 +75,11 @@ cmake --build build-tsan -j "$JOBS" \
 echo "== ctest build-tsan (MultiTlp|ThreadPool|Refine) =="
 (cd build-tsan && ctest --output-on-failure -R 'MultiTlp|ThreadPool|Refine')
 
-# Perf smoke: -O2 hot-path microbench on a small fixture. Exits nonzero if
-# the flat structures diverge from the embedded legacy baseline or the warm
-# join/select path allocates; timings are informational at this size.
-echo "== configure build-release (-DCMAKE_BUILD_TYPE=Release) =="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build build-release -j "$JOBS" --target hotpath_micro
-echo "== perf smoke (hotpath_micro --smoke) =="
-(cd build-release/bench && ./hotpath_micro --smoke)
-
 # Refinement perf smoke: two graphs at quarter scale through the win-
 # condition table and the engine x base sweep. Exits nonzero if tlp+refine
 # loses an RF cell to any registered baseline.
+echo "== configure build-release (-DCMAKE_BUILD_TYPE=Release) =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-release -j "$JOBS" --target refine_runtime
 echo "== perf smoke (refine_runtime --smoke) =="
 (cd build-release/bench && ./refine_runtime --smoke)
@@ -150,5 +143,5 @@ cmake --build build-nosimd -j "$JOBS" \
 (cd build-nosimd && ctest --output-on-failure \
   -R 'IntersectKernels|IntersectionCost|KernelDifferential|Graph')
 
-echo "check.sh: tier-1 + ASan + UBSan + TSan + perf + out-of-core +" \
-     "ingest + nosimd green"
+echo "check.sh: tier-1 + ASan + UBSan + TSan + refine smoke +" \
+     "out-of-core + ingest + nosimd green"
