@@ -4,43 +4,17 @@
 // graphs of growing size and prints time plus peak frontier/members —
 // showing the practical near-linear behavior and the memory advantage over
 // METIS's O(n) global view.
-// A second sweep measures the parallel multi-partition growth
-// (core/multi_tlp.cpp): wall-clock per worker-thread count on the largest
-// DCSBM, with a bit-identity check against the 1-thread run and the
-// scheduler's imbalance telemetry (docs/THREADING.md), written to
-// BENCH_scaling.json. Override the counts with --threads=1,2,4 or the
-// TLP_BENCH_THREADS environment knob. See docs/BENCHMARKS.md for the JSON
-// schema.
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "bench_common/options.hpp"
 #include "bench_common/table.hpp"
-#include "core/multi_tlp.hpp"
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
 #include "metis/multilevel.hpp"
 #include "partition/metrics.hpp"
 
-namespace {
-
-std::vector<std::size_t> thread_counts_from(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      // Reuse the env-knob parser: same syntax, same validation.
-      setenv("TLP_BENCH_THREADS", argv[i] + 10, 1);
-    }
-  }
-  return tlp::bench::bench_thread_counts();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   using namespace tlp;
   using namespace tlp::bench;
 
@@ -89,68 +63,5 @@ int main(int argc, char** argv) {
   std::cout << "\nShape check: TLP time grows near-linearly in |E|; its "
                "working set (frontier + one partition) stays a small "
                "fraction of n, the paper's O(Ld) space claim.\n";
-
-  // Thread scaling of parallel multi-partition growth on the largest size.
-  // Every worker count must produce the byte-identical assignment — the
-  // sweep verifies that before reporting its time.
-  const std::vector<std::size_t> thread_counts = thread_counts_from(argc, argv);
-  std::cout << "\n== Thread scaling: multi_tlp super-steps (largest size, p = "
-            << p << ") ==\n\n";
-  const EdgeId m_large = 400000;
-  const auto n_large = static_cast<VertexId>(m_large / 7);
-  const Graph g_large = gen::dcsbm(
-      n_large, m_large, 2.2, std::max<VertexId>(2, n_large / 150), 0.6, 99);
-  PartitionConfig config;
-  config.num_partitions = p;
-
-  Table scaling({"threads", "seconds", "speedup", "RF", "imbalance",
-                 "identical"});
-  std::vector<PartitionId> baseline;
-  double baseline_seconds = 0.0;
-  std::string json = "{\"bench\":\"scaling\",\"graph\":{\"n\":" +
-                     std::to_string(g_large.num_vertices()) +
-                     ",\"m\":" + std::to_string(g_large.num_edges()) +
-                     "},\"p\":" + std::to_string(p) + ",\"sweep\":[";
-  bool first = true;
-  // Every row must reproduce the first row's bytes.
-  for (const std::size_t threads : thread_counts) {
-    MultiTlpOptions options;
-    options.num_threads = threads;
-    const MultiTlpPartitioner multi{options};
-    RunContext run_ctx;
-    const auto t0 = std::chrono::steady_clock::now();
-    const EdgePartition part = multi.partition(g_large, config, run_ctx);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (baseline.empty()) {
-      baseline = part.raw();
-      baseline_seconds = seconds;
-    }
-    const bool identical = part.raw() == baseline;
-    const double speedup = seconds > 0.0 ? baseline_seconds / seconds : 0.0;
-    const double imbalance = run_ctx.telemetry().counter("imbalance");
-    scaling.add_row({std::to_string(threads), fmt_double(seconds, 3),
-                     fmt_double(speedup, 2),
-                     fmt_double(replication_factor(g_large, part), 3),
-                     fmt_double(imbalance, 3), identical ? "yes" : "NO"});
-    if (!first) json += ',';
-    first = false;
-    json += "{\"threads\":" + std::to_string(threads) +
-            ",\"seconds\":" + fmt_double(seconds, 6) +
-            ",\"speedup\":" + fmt_double(speedup, 4) +
-            ",\"imbalance\":" + fmt_double(imbalance, 4) +
-            ",\"identical\":" + (identical ? "true" : "false") + "}";
-    if (!identical) {
-      std::cerr << "FATAL: " << threads
-                << "-thread result differs from 1-thread baseline\n";
-      return 1;
-    }
-    std::cout.flush();
-  }
-  json += "]}";
-  scaling.print(std::cout);
-  std::ofstream("BENCH_scaling.json") << json << '\n';
-  std::cout << "\nwrote BENCH_scaling.json (hardware note: speedup and "
-               "imbalance are meaningful only on multi-core hosts).\n";
   return 0;
 }

@@ -63,18 +63,4 @@ StorageOptions bench_storage() {
   }
 }
 
-std::vector<std::size_t> bench_thread_counts() {
-  const char* env = std::getenv("TLP_BENCH_THREADS");
-  if (env == nullptr) return {1, 2, 4, 8};
-  std::vector<std::size_t> threads;
-  for (const std::string& item : split_csv(env)) {
-    const long value = std::strtol(item.c_str(), nullptr, 10);
-    if (value <= 0) {
-      throw std::runtime_error("TLP_BENCH_THREADS entries must be > 0");
-    }
-    threads.push_back(static_cast<std::size_t>(value));
-  }
-  return threads;
-}
-
 }  // namespace tlp::bench

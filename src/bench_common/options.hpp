@@ -4,14 +4,11 @@
 //   TLP_BENCH_SCALE   multiply every dataset's default scale (default 1.0)
 //   TLP_BENCH_GRAPHS  comma-separated subset, e.g. "G1,G5" (default: all 9)
 //   TLP_BENCH_PS      comma-separated partition counts (default: 10,15,20)
-//   TLP_BENCH_THREADS comma-separated worker counts for the thread-scaling
-//                     sweeps, e.g. "1,2,4,8" (default: 1,2,4,8)
 //   TLP_BENCH_STORAGE storage tier for every bench graph: in_memory | mmap
 //                     (default: in_memory; applied by make_dataset)
 //   TLP_FULL_SCALE    if set, G9 is built at its full 7M-edge size
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -28,9 +25,6 @@ namespace tlp::bench {
 
 /// Partition counts from TLP_BENCH_PS (default {10, 15, 20}).
 [[nodiscard]] std::vector<PartitionId> bench_partition_counts();
-
-/// Worker-thread counts from TLP_BENCH_THREADS (default {1, 2, 4, 8}).
-[[nodiscard]] std::vector<std::size_t> bench_thread_counts();
 
 /// Storage tier from TLP_BENCH_STORAGE (default in-memory). make_dataset
 /// re-tiers every built graph through io::with_tier with these options, so

@@ -101,8 +101,6 @@ std::string RunResult::telemetry_json() const {
   append_json_number(out, seconds);
   out += ",\"valid\":";
   out += valid ? "true" : "false";
-  out += ",\"threads\":";
-  append_json_number(out, static_cast<double>(threads));
   out += ",\"arena_hits\":";
   append_json_number(out, static_cast<double>(arena_hits));
   out += ",\"arena_misses\":";
@@ -145,8 +143,6 @@ RunResult run_partitioner(const Partitioner& partitioner, const Graph& g,
   result.valid = validate(g, partition, config).ok();
   result.arena_hits = ctx.arena().hits() - hits_before;
   result.arena_misses = ctx.arena().misses() - misses_before;
-  const double threads = ctx.telemetry().counter("threads");
-  result.threads = threads > 0.0 ? static_cast<int>(threads) : 1;
   // Keys another algorithm wrote earlier on this shared context but this
   // run left untouched are dropped, so a run never reports stale values.
   for (const auto& [key, value] : ctx.telemetry().counters()) {

@@ -20,9 +20,6 @@ struct RunResult {
   double balance = 0.0;   ///< max load / average load
   double seconds = 0.0;   ///< wall-clock partitioning time
   bool valid = false;     ///< complete + in-range per the validator
-  /// Worker threads the run reported via the "threads" telemetry gauge
-  /// (parallel multi_tlp); 1 for every single-threaded algorithm.
-  int threads = 1;
   /// This run's telemetry deltas: for each counter/timer the run changed,
   /// the net change (new value minus pre-run value on the shared context).
   /// Keys the run never touched are absent, so repeated runs of different
@@ -55,7 +52,7 @@ struct RunResult {
 
 /// Registers every built-in algorithm in the global registry. Idempotent.
 /// Names: tlp, metis, ldg, dbh, random, grid, greedy, hdrf, ne, fennel, kl,
-/// window_tlp, multi_tlp, 2ps.
+/// window_tlp, multi_tlp, 2ps, tlp+refine.
 void register_builtin_partitioners();
 
 }  // namespace tlp::bench

@@ -2,41 +2,30 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <random>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
+#include "core/two_hop.hpp"
 #include "graph/intersect_kernels.hpp"
 #include "partition/replica_set.hpp"
 #include "partition/spill.hpp"
-#include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tlp {
 namespace {
 
-/// Write-prefetch lookahead for the two-hop counting pass (same rationale
-/// as the sequential run in core/tlp.cpp).
-constexpr std::size_t kCountPrefetchDistance = 8;
-
 class MultiRun {
  public:
   MultiRun(const Graph& g, const PartitionConfig& config,
-           const MultiTlpOptions& options, RunContext& ctx, ThreadPool* pool,
-           std::size_t num_workers)
+           const MultiTlpOptions& options, RunContext& ctx)
       : g_(g),
         config_(config),
         options_(options),
         ctx_(ctx),
-        pool_(pool),
-        num_workers_(num_workers),
         residual_(g, ctx.arena()),
         partition_(config.num_partitions, g.num_edges()),
         member_(ctx.arena(), g.num_vertices(), config.num_partitions),
@@ -48,69 +37,46 @@ class MultiRun {
         events_(ctx.arena().acquire<EdgeId>(0)),
         joined_(ctx.arena().acquire<VertexId>(config.num_partitions,
                                               kInvalidVertex)),
-        seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())) {
+        seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())),
+        count_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
+        count_touched_(ctx.arena().acquire<VertexId>(0)),
+        batch_ids_(ctx.arena().acquire<VertexId>(0)),
+        batch_terms_(ctx.arena().acquire<double>(0)),
+        refreshed_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
+        cmark_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
+        rmark_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
+        c_dirty_(ctx.arena().acquire<VertexId>(0)),
+        rdeg_dirty_(ctx.arena().acquire<VertexId>(0)) {
     std::iota(seed_order_->begin(), seed_order_->end(), VertexId{0});
     std::mt19937_64 rng(config.seed);
     std::shuffle(seed_order_->begin(), seed_order_->end(), rng);
 
-    // Child contexts are created and cleared on the calling thread before
-    // any worker touches them; worker w of every run reuses child(w)'s
-    // arena, so repeated parallel runs stay warm.
-    const VertexId n = g.num_vertices();
-    workers_.reserve(num_workers_);
-    for (std::size_t w = 0; w < num_workers_; ++w) {
-      RunContext& child = ctx.child(w);
-      child.telemetry().clear();
-      ScratchArena& arena = child.arena();
-      workers_.push_back(Worker{
-          &child,
-          arena.acquire<std::uint32_t>(n, 0),  // count
-          arena.acquire<VertexId>(0),          // count_touched
-          arena.acquire<VertexId>(0),          // batch_ids
-          arena.acquire<double>(0),            // batch_terms
-          arena.acquire<std::uint32_t>(n, 0),  // refreshed
-          arena.acquire<std::uint32_t>(n, 0),  // cmark
-          arena.acquire<std::uint32_t>(n, 0),  // rmark
-          arena.acquire<VertexId>(0),          // c_dirty
-          arena.acquire<VertexId>(0),          // rdeg_dirty
-          arena.acquire<VertexId>(0),          // touched_out
-          0,
-      });
-    }
-    // Per-PARTITION state lives in a per-partition child arena (children
-    // [W, W + p); workers use [0, W)). A shared arena is not thread-safe;
-    // under static ownership partition k's task always runs on worker
-    // k % W, so an arena only its own partition touches is race-free.
+    // Per-PARTITION state leases from the per-partition child arena
+    // ctx.child(k), so a warm rerun hands each partition its own buffers
+    // back (its frontier grows to the size of that partition's region).
     parts_.reserve(config.num_partitions);
     for (PartitionId k = 0; k < config.num_partitions; ++k) {
-      parts_.emplace_back(ctx.child(num_workers_ + k).arena());
+      parts_.emplace_back(ctx.child(k).arena());
     }
-    busy_.assign(num_workers_, 0.0);
-    step_busy_.assign(num_workers_, 0.0);
   }
 
   EdgePartition run() {
     const EdgeId capacity = config_.capacity(g_.num_edges());
+    const PartitionId p = config_.num_partitions;
+    Telemetry& t = ctx_.telemetry();
     while (residual_.unassigned_count() > 0) {
       ctx_.check_cancelled();  // one cancellation poll per super-step
       ++step_;
-      flush_touched();
-      run_phase("worker_propose", [&](std::size_t /*worker*/, PartitionId k) {
-        propose(k, capacity);
-      });
+      {
+        const auto timer = t.time("worker_propose");
+        for (PartitionId k = 0; k < p; ++k) propose(k, capacity);
+      }
       if (!commit()) break;
-      run_phase("worker_update", [&](std::size_t w, PartitionId k) {
-        update_frontier(workers_[w], k);
-      });
-      record_step_balance();
+      const auto timer = t.time("worker_update");
+      for (PartitionId k = 0; k < p; ++k) update_frontier(k);
     }
     spill_remaining();
     flush_telemetry();
-    // Merge per-worker telemetry (phase timers) into the parent in fixed
-    // worker order; wall-time values vary, keys and counters do not.
-    for (const Worker& worker : workers_) {
-      ctx_.telemetry().merge_from(worker.ctx->telemetry());
-    }
     return std::move(partition_);
   }
 
@@ -144,30 +110,8 @@ class MultiRun {
     std::size_t peak_frontier = 0;
   };
 
-  /// Worker-private scratch, leased from the worker's child-context arena.
-  /// Nothing algorithmic lives here — dropping or adding workers only
-  /// changes which thread executes a partition's work.
-  struct Worker {
-    RunContext* ctx;
-    ScratchArena::Lease<std::uint32_t> count;  ///< two-hop counting pass
-    ScratchArena::Lease<VertexId> count_touched;
-    ScratchArena::Lease<VertexId> batch_ids;    ///< eligible candidates
-    ScratchArena::Lease<double> batch_terms;    ///< batched Eq. 7 terms
-    ScratchArena::Lease<std::uint32_t> refreshed;  ///< full-refresh marks
-    ScratchArena::Lease<std::uint32_t> cmark;      ///< c_dirty dedup marks
-    ScratchArena::Lease<std::uint32_t> rmark;      ///< rdeg_dirty dedup marks
-    ScratchArena::Lease<VertexId> c_dirty;
-    ScratchArena::Lease<VertexId> rdeg_dirty;
-    /// Vertices whose touched_ flag must be raised; flushed serially at the
-    /// top of the next super-step (touched_ is shared, flags are idempotent
-    /// and order-independent, so the union is worker-count-invariant).
-    ScratchArena::Lease<VertexId> touched_out;
-    std::uint32_t epoch = 0;  ///< bumped once per (partition, step) handled
-  };
-
   /// Whole-run tallies in plain locals; flushed once into the telemetry
-  /// sink. All accumulated serially at barriers in partition-id order, so
-  /// the values (including the double sums) are worker-count-invariant.
+  /// sink. All accumulated at the commit in partition-id order.
   struct Totals {
     std::size_t stage1_joins = 0;
     std::size_t stage2_joins = 0;
@@ -179,55 +123,6 @@ class MultiRun {
     std::size_t stale_claims = 0;
     std::size_t seed_collisions = 0;
   };
-
-  /// Runs `task(worker, k)` exactly once for every partition k, under the
-  /// per-worker child-context phase timer `timer_key`, and accumulates each
-  /// worker's busy time (entry-to-exit of its phase body, i.e. excluding
-  /// the barrier wait) into step_busy_. Two schedules, one result: inline
-  /// (W == 1) or static ownership (worker k % W runs partition k, in
-  /// ascending k) — which thread runs a partition-task only moves
-  /// wall-clock time, never the task's effect (docs/THREADING.md).
-  void run_phase(const char* timer_key,
-                 const std::function<void(std::size_t, PartitionId)>& task) {
-    const PartitionId p = config_.num_partitions;
-    if (pool_ == nullptr) {
-      const auto timer = workers_[0].ctx->telemetry().time(timer_key);
-      for (PartitionId k = 0; k < p; ++k) task(0, k);
-      return;  // no busy tracking inline: imbalance is 1 by definition
-    }
-    pool_->run_indexed(num_workers_, [&](std::size_t w) {
-      const auto timer = workers_[w].ctx->telemetry().time(timer_key);
-      const auto start = std::chrono::steady_clock::now();
-      for (PartitionId k = static_cast<PartitionId>(w); k < p;
-           k += static_cast<PartitionId>(num_workers_)) {
-        task(w, k);
-      }
-      step_busy_[w] += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-    });
-  }
-
-  /// Barrier-side (serial) bookkeeping after a committed super-step:
-  /// appends each worker's busy seconds for the step to the worker_busy
-  /// series (W entries per step, worker-minor) and folds them into the
-  /// whole-run totals behind the imbalance gauge. Wall-clock values — the
-  /// series varies across runs and worker counts by design.
-  void record_step_balance() {
-    if (num_workers_ <= 1) return;
-    for (std::size_t w = 0; w < num_workers_; ++w) {
-      ctx_.telemetry().append("worker_busy", step_busy_[w]);
-      busy_[w] += step_busy_[w];
-      step_busy_[w] = 0.0;
-    }
-  }
-
-  void flush_touched() {
-    for (Worker& worker : workers_) {
-      for (const VertexId v : *worker.touched_out) touched_[v] = 1;
-      worker.touched_out->clear();
-    }
-  }
 
   /// Pre-step membership of x in k, reconstructed from the post-step sets:
   /// a partition joins at most one vertex per step, so only joined_[k]
@@ -258,7 +153,7 @@ class MultiRun {
     const std::size_t n = seed_order_->size();
     // Prefer virgin territory: a vertex no partition has touched yet.
     // Several partitions seeding in the same step will propose the SAME
-    // fresh vertex; the barrier's seed dedup lets the lowest id keep it
+    // fresh vertex; the commit's seed dedup lets the lowest id keep it
     // and the losers re-scan next step against the then-updated touched_
     // marks, which serialises initial seeding and spreads the seeds away
     // from already-growing regions (the behaviour the round-robin
@@ -283,13 +178,12 @@ class MultiRun {
     return kInvalidVertex;
   }
 
-  /// Super-step phase A for one owned partition: select the next join from
-  /// the frozen pre-step state and claim its residual member edges. Only
-  /// atomic bitmap operations touch shared mutable state here; everything
-  /// else read is frozen until the barrier. The CAS winner records the
-  /// step in epoch_ (it is the unique writer for that edge), which is how
-  /// the serial commit distinguishes this step's claims from stale attempts
-  /// on edges assigned in earlier steps.
+  /// Super-step phase A for partition k: select the next join from the
+  /// pre-step state and claim its residual member edges. Only the claim
+  /// bits change here, so every partition proposes against the same state.
+  /// The first claimant of an edge records the step in epoch_, which is how
+  /// the commit distinguishes this step's claims from stale attempts on
+  /// edges assigned in earlier steps.
   void propose(PartitionId k, EdgeId capacity) {
     Part& part = parts_[k];
     part.proposal = kInvalidVertex;
@@ -330,9 +224,9 @@ class MultiRun {
     }
   }
 
-  /// Super-step barrier (serial): seed dedup, deterministic claim
-  /// resolution, and all state commits, in partition-id order. Returns
-  /// false when no partition could act (growth is finished).
+  /// Super-step phase B: seed dedup, claim resolution, and all state
+  /// commits, in partition-id order. Returns false when no partition could
+  /// act (growth is finished).
   bool commit() {
     const PartitionId p = config_.num_partitions;
     // Seed dedup: the lowest partition id keeps a contested seed vertex;
@@ -362,9 +256,8 @@ class MultiRun {
 
     // Claim resolution: scan surviving proposals in ascending partition-id
     // order. The first claimant of an edge whose epoch says "claimed this
-    // step" is the lowest id and wins — independent of which thread won
-    // the phase-A CAS. Attempts on edges assigned in earlier steps are
-    // stale and dropped.
+    // step" is the lowest id and wins. Attempts on edges assigned in
+    // earlier steps are stale and dropped.
     events_->clear();
     for (PartitionId k = 0; k < p; ++k) {
       if (parts_[k].proposal == kInvalidVertex) continue;
@@ -405,8 +298,7 @@ class MultiRun {
       }
     }
 
-    // Memberships + join tallies, in partition-id order (the double sums
-    // must accumulate in a worker-count-independent order).
+    // Memberships + join tallies, in partition-id order.
     for (PartitionId k = 0; k < p; ++k) {
       Part& part = parts_[k];
       if (part.proposal == kInvalidVertex) continue;
@@ -446,8 +338,7 @@ class MultiRun {
   /// Refreshes (or removes) candidate u of partition k from the post-step
   /// state, and marks it so the incremental join path does not double-count
   /// the connection a full refresh already saw.
-  void refresh_candidate(Worker& worker, VertexId u, PartitionId k,
-                         std::uint32_t mark) {
+  void refresh_candidate(VertexId u, PartitionId k, std::uint32_t mark) {
     Part& part = parts_[k];
     if (member_.contains(u, k)) return;  // it is this step's join itself
     std::uint32_t c = 0;
@@ -461,8 +352,8 @@ class MultiRun {
       return;
     }
     part.frontier.upsert(u, c, residual_.residual_degree(u), mu_s1(u, k));
-    worker.refreshed[u] = mark;
-    worker.touched_out->push_back(u);
+    refreshed_[u] = mark;
+    touched_[u] = 1;
   }
 
   /// Folds partition k's own join into its frontier: remove the new member
@@ -471,8 +362,7 @@ class MultiRun {
   /// Eq. 7 term needs computing; like sequential TLP, a single two-hop
   /// counting pass computes |N(u) ∩ N(v)| for every neighbor at once when
   /// that is cheaper than per-pair intersections.
-  void apply_join(Worker& worker, VertexId v, PartitionId k,
-                  std::uint32_t mark) {
+  void apply_join(VertexId v, PartitionId k, std::uint32_t mark) {
     Part& part = parts_[k];
     part.frontier.remove(v);
     std::size_t two_hop_cost = 0;
@@ -482,7 +372,7 @@ class MultiRun {
       two_hop_cost += g_.degree(nb.vertex);
       if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
       if (member_.contains(nb.vertex, k)) continue;
-      if (worker.refreshed[nb.vertex] == mark) continue;
+      if (refreshed_[nb.vertex] == mark) continue;
       any = true;
       merge_cost += Graph::intersection_cost(g_.degree(nb.vertex),
                                              g_.degree(v));
@@ -499,71 +389,54 @@ class MultiRun {
                         std::max(cand.mu1, term));
       } else {
         frontier.upsert(u, 1, residual_.residual_degree(u), term);
-        worker.touched_out->push_back(u);
+        touched_[u] = 1;
       }
     };
     if (use_counting) {
-      // Two-hop counting pass with the sequential run's prefetch pair:
-      // next one-hop list head, plus the count cells a few iterations
-      // ahead (random-access increments over an O(n) array).
-      const auto hops = g_.neighbor_ids(v);
-      for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (i + 1 < hops.size()) g_.prefetch_neighbor_ids(hops[i + 1]);
-        const auto ids = g_.neighbor_ids(hops[i]);
-        for (std::size_t j = 0; j < ids.size(); ++j) {
-          if (j + kCountPrefetchDistance < ids.size()) {
-            simd::prefetch_write(
-                &worker.count[ids[j + kCountPrefetchDistance]]);
-          }
-          const VertexId u = ids[j];
-          if (worker.count[u]++ == 0) worker.count_touched->push_back(u);
-        }
-      }
+      count_two_hop(g_, v, count_->data(), *count_touched_);
       // Batched Eq. 7 divides through the active kernel. Candidates are
       // collected in adjacency order, so the upserts happen in exactly the
       // order the per-pair path produces — and every kernel performs the
       // same correctly-rounded IEEE division, keeping the result
-      // worker-count- AND kernel-invariant.
-      worker.batch_ids->clear();
+      // kernel-invariant.
+      batch_ids_->clear();
       for (const Neighbor& nb : g_.neighbors(v)) {
         if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
         if (member_.contains(nb.vertex, k)) continue;
-        if (worker.refreshed[nb.vertex] == mark) continue;
-        worker.batch_ids->push_back(nb.vertex);
+        if (refreshed_[nb.vertex] == mark) continue;
+        batch_ids_->push_back(nb.vertex);
       }
-      const std::size_t n = worker.batch_ids->size();
-      worker.batch_terms->resize(n);
-      intersect::active().stage1_terms(worker.count->data(),
-                                       worker.batch_ids->data(), n, dv,
-                                       worker.batch_terms->data());
+      const std::size_t n = batch_ids_->size();
+      batch_terms_->resize(n);
+      intersect::active().stage1_terms(count_->data(), batch_ids_->data(), n,
+                                       dv, batch_terms_->data());
       for (std::size_t i = 0; i < n; ++i) {
-        connect((*worker.batch_ids)[i], (*worker.batch_terms)[i]);
+        connect((*batch_ids_)[i], (*batch_terms_)[i]);
       }
-      for (const VertexId x : *worker.count_touched) worker.count[x] = 0;
-      worker.count_touched->clear();
+      for (const VertexId x : *count_touched_) count_[x] = 0;
+      count_touched_->clear();
     } else {
       for (const Neighbor& nb : g_.neighbors(v)) {
         if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
         const VertexId u = nb.vertex;
         if (member_.contains(u, k)) continue;
-        if (worker.refreshed[u] == mark) continue;  // refresh counted v already
+        if (refreshed_[u] == mark) continue;  // refresh counted v already
         connect(u, static_cast<double>(g_.common_neighbor_count(u, v)) / dv);
       }
     }
   }
 
-  /// Super-step phase C for one owned partition: fold the step's committed
-  /// events into k's frontier. Everything read here (events, memberships,
-  /// the bitmap, residual degrees) is frozen until the next barrier, and
-  /// everything written is owned by k's worker, so the phase runs without
-  /// locks and its outcome is worker-count-invariant.
-  void update_frontier(Worker& worker, PartitionId k) {
+  /// Super-step phase C for partition k: fold the step's committed events
+  /// into k's frontier. Apart from the touched_ flags (read only by the
+  /// next step's seed selection), it writes only k's own state, so the
+  /// order in which partitions are updated does not change the result.
+  void update_frontier(PartitionId k) {
     Part& part = parts_[k];
     if (part.closed) return;  // its frontier is never consulted again
     const VertexId vk = joined_[k];
-    const std::uint32_t mark = ++worker.epoch;
-    worker.c_dirty->clear();
-    worker.rdeg_dirty->clear();
+    const std::uint32_t mark = ++update_mark_;
+    c_dirty_->clear();
+    rdeg_dirty_->clear();
     for (const EdgeId e : *events_) {
       const Edge& edge = g_.edge(e);
       const bool self = edge.u == edge.v;
@@ -577,26 +450,24 @@ class MultiRun {
         assert(!(mu && mv));
         if (mu != mv) {
           const VertexId other = mu ? edge.v : edge.u;
-          if (worker.cmark[other] != mark) {
-            worker.cmark[other] = mark;
-            worker.c_dirty->push_back(other);
+          if (cmark_[other] != mark) {
+            cmark_[other] = mark;
+            c_dirty_->push_back(other);
           }
         }
       }
       for (const VertexId x : {edge.u, edge.v}) {
-        if (worker.rmark[x] != mark) {
-          worker.rmark[x] = mark;
-          worker.rdeg_dirty->push_back(x);
+        if (rmark_[x] != mark) {
+          rmark_[x] = mark;
+          rdeg_dirty_->push_back(x);
         }
         if (self) break;
       }
     }
-    for (const VertexId u : *worker.c_dirty) {
-      refresh_candidate(worker, u, k, mark);
-    }
-    if (vk != kInvalidVertex) apply_join(worker, vk, k, mark);
-    for (const VertexId u : *worker.rdeg_dirty) {
-      if (worker.refreshed[u] == mark) continue;  // already rebuilt
+    for (const VertexId u : *c_dirty_) refresh_candidate(u, k, mark);
+    if (vk != kInvalidVertex) apply_join(vk, k, mark);
+    for (const VertexId u : *rdeg_dirty_) {
+      if (refreshed_[u] == mark) continue;  // already rebuilt
       if (!part.frontier.contains(u)) continue;
       const auto& cand = part.frontier.at(u);
       part.frontier.upsert(u, cand.c, residual_.residual_degree(u),
@@ -614,9 +485,8 @@ class MultiRun {
     Telemetry& t = ctx_.telemetry();
     std::size_t peak_frontier = 0;
     std::size_t capacity_closes = 0;
-    // One round_* entry per (concurrently grown) partition, mirroring the
-    // sequential TLP schema; flushed by the main thread in partition order
-    // so the series are worker-count-invariant.
+    // One round_* entry per (concurrently grown) partition, in partition
+    // order, mirroring the sequential TLP schema.
     for (const Part& part : parts_) {
       t.append("round_seed", part.first_seed == kInvalidVertex
                                  ? -1.0
@@ -644,22 +514,6 @@ class MultiRun {
     t.add("claim_conflicts", static_cast<double>(totals_.claim_conflicts));
     t.add("stale_claims", static_cast<double>(totals_.stale_claims));
     t.add("seed_collisions", static_cast<double>(totals_.seed_collisions));
-    t.set("threads", static_cast<double>(num_workers_));
-    // Scheduler telemetry. imbalance (plus threads and the worker_busy
-    // series) is the only key allowed to differ across worker counts —
-    // everything else is worker-count-invariant.
-    double imbalance = 1.0;  // trivially balanced inline
-    if (num_workers_ > 1) {
-      double total = 0.0;
-      double busiest = 0.0;
-      for (const double b : busy_) {
-        total += b;
-        busiest = std::max(busiest, b);
-      }
-      const double mean = total / static_cast<double>(num_workers_);
-      if (mean > 0.0) imbalance = busiest / mean;
-    }
-    t.set("imbalance", imbalance);
     t.set_max("peak_frontier", static_cast<double>(peak_frontier));
     t.set_max("peak_members", static_cast<double>(totals_.peak_members));
   }
@@ -668,14 +522,12 @@ class MultiRun {
   const PartitionConfig& config_;
   const MultiTlpOptions& options_;
   RunContext& ctx_;
-  ThreadPool* pool_;  ///< nullptr = inline single-worker execution
-  std::size_t num_workers_;
 
   ResidualState residual_;
   EdgePartition partition_;
   ReplicaSetPool member_;
   ScratchArena::Lease<std::uint8_t> touched_;
-  /// Super-step in which each edge's claim CAS was won (0 = never).
+  /// Super-step in which each edge was first claimed (0 = never).
   ScratchArena::Lease<std::uint32_t> epoch_;
   /// Super-step in which each edge's claim was committed (0 = never).
   ScratchArena::Lease<std::uint32_t> commit_mark_;
@@ -686,14 +538,21 @@ class MultiRun {
   /// Vertex joined by each partition this super-step (or kInvalidVertex).
   ScratchArena::Lease<VertexId> joined_;
   ScratchArena::Lease<VertexId> seed_order_;
+  /// Two-hop counting pass scratch (core/two_hop.hpp).
+  ScratchArena::Lease<std::uint32_t> count_;
+  ScratchArena::Lease<VertexId> count_touched_;
+  ScratchArena::Lease<VertexId> batch_ids_;    ///< eligible candidates
+  ScratchArena::Lease<double> batch_terms_;    ///< batched Eq. 7 terms
+  ScratchArena::Lease<std::uint32_t> refreshed_;  ///< full-refresh marks
+  ScratchArena::Lease<std::uint32_t> cmark_;      ///< c_dirty_ dedup marks
+  ScratchArena::Lease<std::uint32_t> rmark_;      ///< rdeg_dirty_ dedup marks
+  ScratchArena::Lease<VertexId> c_dirty_;
+  ScratchArena::Lease<VertexId> rdeg_dirty_;
 
   std::vector<Part> parts_;
-  std::vector<Worker> workers_;
-  /// Wall-clock busy seconds per worker: whole run / current super-step.
-  std::vector<double> busy_;
-  std::vector<double> step_busy_;
   Totals totals_;
   std::uint32_t step_ = 0;
+  std::uint32_t update_mark_ = 0;  ///< bumped once per (partition, step)
 };
 
 }  // namespace
@@ -701,18 +560,7 @@ class MultiRun {
 EdgePartition MultiTlpPartitioner::do_partition(const Graph& g,
                                                 const PartitionConfig& config,
                                                 RunContext& ctx) const {
-  std::size_t requested = options_.num_threads;
-  if (requested == 0) {
-    requested = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(requested, config.num_partitions));
-  if (workers == 1) {
-    MultiRun run(g, config, options_, ctx, nullptr, 1);
-    return run.run();
-  }
-  ThreadPool pool(workers);
-  MultiRun run(g, config, options_, ctx, &pool, workers);
+  MultiRun run(g, config, options_, ctx);
   return run.run();
 }
 

@@ -1,34 +1,24 @@
-// MultiTlpPartitioner: concurrent multi-seed TLP, grown in parallel
+// MultiTlpPartitioner: concurrent multi-seed TLP, grown in lock-step
 // super-steps.
 //
 // The paper grows partitions strictly one at a time, which systematically
 // starves the last rounds (they inherit whatever the earlier rounds left
-// behind). This extension — in the spirit of the paper's "partition the
-// graph data in parallel" future work — grows all p partitions at once in
-// bulk-synchronous super-steps:
+// behind). This extension grows all p partitions at once in
+// bulk-synchronous super-steps, on the calling thread:
 //
-//   A. propose+claim (parallel): each worker owns the partitions k with
-//      k % W == w. For every open partition it selects the next two-stage
-//      join from the frozen pre-step state and claims the join's residual
-//      edges through ResidualState::try_claim (an atomic fetch_or on the
-//      packed assigned bitmap).
-//   B. commit (serial): duplicate seeds are deduped (lowest partition id
-//      keeps the seed), contested edges are resolved lowest-partition-id-
-//      wins, and the step's edge events are committed: EdgePartition
-//      assignment, residual-degree decrements, memberships, and all
-//      e_in/e_out accounting, in partition-id order.
-//   C. frontier update (parallel): every worker folds the step's committed
-//      events into its partitions' frontiers (full refreshes for candidates
-//      that lost connections, rekeys for residual-degree changes, and
-//      incremental inserts for the partition's own join).
-//
-// All algorithmic state is sharded per PARTITION, never per worker, and
-// every cross-partition decision is taken serially at the barrier, so the
-// result is bit-identical for every worker count (including the inline
-// 1-thread path) — only wall-clock time changes with `num_threads`.
-//
-// Both parallel phases use the same static schedule: worker k % W runs
-// partition k, in ascending k (docs/THREADING.md).
+//   A. propose+claim: for every open partition k, in ascending k, select
+//      the next two-stage join from the pre-step state and claim the
+//      join's residual edges through ResidualState::try_claim (a
+//      test-and-set on the packed assigned bitmap).
+//   B. commit: duplicate seeds are deduped (lowest partition id keeps the
+//      seed), contested edges are resolved lowest-partition-id-wins, and
+//      the step's edge events are committed: EdgePartition assignment,
+//      residual-degree decrements, memberships, and all e_in/e_out
+//      accounting, in partition-id order.
+//   C. frontier update: every partition folds the step's committed events
+//      into its frontier (full refreshes for candidates that lost
+//      connections, rekeys for residual-degree changes, and incremental
+//      inserts for the partition's own join).
 //
 // Every partition keeps its own modularity state and stage, so the
 // Table-II switching logic is unchanged; only the growth schedule differs.
@@ -41,13 +31,8 @@
 // stage counters/degree sums aggregate across all concurrently growing
 // partitions, the round_* series hold one entry per partition, and the
 // super-step machinery adds super_steps / claim_conflicts / stale_claims /
-// seed_collisions / threads. Worker-side phase timers accumulate in
-// per-worker child RunContexts and merge into the parent at the end of the
-// run. The scheduler instruments itself: a per-super-step worker_busy
-// series (W entries per step when W > 1) and an imbalance gauge (max/mean
-// whole-run worker busy time) — these are wall-clock/schedule-dependent
-// and are the ONLY keys besides `threads` allowed to vary across worker
-// counts.
+// seed_collisions counters plus worker_propose / worker_update phase
+// timers (phases A and C).
 #pragma once
 
 #include <cstddef>
@@ -60,10 +45,8 @@ namespace tlp {
 struct MultiTlpOptions {
   /// Capacity overshoot on join, as in TLP (paper-literal loop condition).
   bool allow_overshoot = true;
-  /// Worker threads for the super-step phases. 1 (default) runs inline on
-  /// the calling thread without a pool; 0 means hardware_concurrency. The
-  /// partition result is bit-identical for every value; the count is capped
-  /// at num_partitions.
+  /// Has no effect: every super-step phase runs on the calling thread.
+  /// It stays declared only because existing callers still assign it.
   std::size_t num_threads = 1;
   /// Has no effect: nothing reads it. It stays declared only because
   /// existing callers still assign it.

@@ -1,6 +1,5 @@
 #include "core/refine_rf.hpp"
 
-#include "refine/engine.hpp"
 #include "refine/move_state.hpp"
 
 namespace tlp {
@@ -56,30 +55,13 @@ RefineResult refine_replication(const Graph& g, EdgePartition& partition,
 
 RefineResult refine_partition(const Graph& g, EdgePartition& partition,
                               const RefineOptions& options, RunContext& ctx) {
-  RefineResult result;
   switch (options.engine) {
     case RefineEngine::kGreedy:
-      result = refine_replication(g, partition, options, ctx);
-      break;
-    case RefineEngine::kGainHeap: {
-      refine::EngineOptions engine_options;
-      engine_options.max_passes = options.max_passes;
-      engine_options.balance_slack = options.balance_slack;
-      engine_options.escape_budget = options.escape_budget;
-      const refine::EngineStats stats =
-          refine::refine_gain(g, partition, engine_options, ctx);
-      result.moves = stats.moves;
-      result.replicas_removed = stats.replicas_removed;
-      result.passes = stats.passes;
-      result.escape_moves = stats.escape_moves;
-      result.rollbacks = stats.rollbacks;
-      result.heap_rebuilds = stats.heap_rebuilds;
-      result.reindexed = stats.reindexed;
-      result.requeued = stats.requeued;
-      break;
-    }
+      return refine_replication(g, partition, options, ctx);
+    case RefineEngine::kGainHeap:
+      return refine::refine_gain(g, partition, options, ctx);
   }
-  return result;
+  return {};
 }
 
 EdgePartition RefinedPartitioner::do_partition(const Graph& g,

@@ -13,49 +13,18 @@
 //   kGreedy    — the original ascending-edge-order sweep, kept as the
 //                differential ORACLE: same gain function and cap, no
 //                ordering, no escapes (refine_replication below).
+//
+// RefineEngine, RefineOptions and RefineResult live in refine/engine.hpp.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <utility>
 
 #include "partition/edge_partition.hpp"
 #include "partition/partitioner.hpp"
+#include "refine/engine.hpp"
 
 namespace tlp {
-
-enum class RefineEngine {
-  kGainHeap,  ///< serial gain-heap engine with escapes (the default)
-  kGreedy,    ///< ascending-edge-order sweep (the differential oracle)
-};
-
-struct RefineOptions {
-  RefineEngine engine = RefineEngine::kGainHeap;
-  /// Maximum passes: one full sweep (kGreedy) or reindex (kGainHeap) each.
-  int max_passes = 4;
-  /// Load ceiling as a multiple of m/p; moves never push a partition above
-  /// it (and never move INTO a partition already above it).
-  double balance_slack = 1.05;
-  /// kGainHeap only: max CONSECUTIVE non-positive-gain moves per pass
-  /// (0 = pure hill-climbing). See refine/engine.hpp.
-  std::uint32_t escape_budget = 32;
-};
-
-struct RefineResult {
-  std::size_t moves = 0;             ///< edges migrated (surviving rollback)
-  std::size_t replicas_removed = 0;  ///< net replica reduction (>= 0)
-  int passes = 0;                    ///< sweeps / passes
-  /// kGainHeap: applied escape moves and rollback events (0 elsewhere).
-  std::size_t escape_moves = 0;
-  std::size_t rollbacks = 0;
-  /// kGainHeap: full reindexes + heap compactions (0 for greedy).
-  std::size_t heap_rebuilds = 0;
-  /// kGainHeap: best_move calls outside the pass-start rebuild, and
-  /// parked (cap-blocked) edges re-evaluated (0 for greedy).
-  std::size_t reindexed = 0;
-  std::size_t requeued = 0;
-};
 
 /// The greedy oracle: ascending-edge-order sweeps applying every strictly
 /// positive-gain admissible move until a sweep moves nothing or max_passes

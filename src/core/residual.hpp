@@ -4,7 +4,6 @@
 // tables come from the run's ScratchArena so repeated runs reuse capacity.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 
@@ -117,25 +116,24 @@ class ResidualState {
   /// Precondition: e is unassigned.
   void mark_assigned(EdgeId e);
 
-  /// Atomic claim path for concurrent growth (core/multi_tlp.cpp): sets e's
-  /// bit with a fetch_or on the containing packed word and reports whether
-  /// THIS call flipped it. Safe to race with other try_claim calls; must
-  /// not race with the non-atomic readers/writers above (callers separate
-  /// the claim phase from everything else with a barrier). A false return
-  /// means the bit was already set — either an earlier super-step assigned
-  /// the edge, or a concurrent claimant won; the caller disambiguates at
-  /// its barrier and resolves contests deterministically.
-  /// Degrees and the unassigned count are NOT touched here — the winning
-  /// claim is finalized serially with commit_claim().
+  /// Claim path for super-step growth (core/multi_tlp.cpp): sets e's bit
+  /// and reports whether THIS call flipped it (test-and-set). A false
+  /// return means the bit was already set — either an earlier super-step
+  /// assigned the edge, or an earlier claimant in the same step holds it;
+  /// the caller tells the two apart at its commit and resolves contests
+  /// deterministically. Degrees and the unassigned count are NOT touched
+  /// here — the first claim is finalized with commit_claim().
   bool try_claim(EdgeId e) {
     const auto id = static_cast<std::size_t>(e);
     const std::uint64_t bit = bit_mask(id);
-    std::atomic_ref<std::uint64_t> word(assigned_[id >> 6]);
-    return (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
+    std::uint64_t& word = assigned_[id >> 6];
+    const bool was_set = (word & bit) != 0;
+    word |= bit;
+    return !was_set;
   }
 
-  /// Serial follow-up to a successful try_claim: decrements both
-  /// endpoints' residual degrees and the unassigned count.
+  /// Follow-up to a successful try_claim: decrements both endpoints'
+  /// residual degrees and the unassigned count.
   /// Precondition: e's bit is set and commit_claim(e) has not run before.
   void commit_claim(EdgeId e);
 

@@ -11,18 +11,12 @@
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
+#include "core/two_hop.hpp"
 #include "graph/intersect_kernels.hpp"
 #include "partition/spill.hpp"
-#include "util/simd.hpp"
 
 namespace tlp {
 namespace {
-
-/// How many inner-loop iterations ahead the two-hop counting pass issues a
-/// write prefetch for its count_[u] target. Far enough to beat a memory
-/// round-trip at ~1 increment/cycle, near enough to stay inside most
-/// adjacency lists.
-constexpr std::size_t kCountPrefetchDistance = 8;
 
 /// Per-round tallies, kept in plain locals during the hot loop and flushed
 /// into the telemetry sink once per round (hot joins never touch the
@@ -169,24 +163,7 @@ class GrowthRun {
 
     if (two_hop_cost < merge_cost) {
       // Shared counting pass: count_[u] = |N(u) ∩ N(v)| for every two-hop u.
-      // Walks the vertex-only adjacency mirror — this loop is pure memory
-      // bandwidth and never needs the edge ids. Two software prefetches
-      // hide the pass's two cache-miss streams: the NEXT one-hop
-      // neighbor's adjacency head (so list w+1 is in flight while list w
-      // is scanned) and the count_[u] cells a few iterations ahead (the
-      // increments are random-access over an O(n) array).
-      const auto hops = g_.neighbor_ids(v);
-      for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (i + 1 < hops.size()) g_.prefetch_neighbor_ids(hops[i + 1]);
-        const auto ids = g_.neighbor_ids(hops[i]);
-        for (std::size_t j = 0; j < ids.size(); ++j) {
-          if (j + kCountPrefetchDistance < ids.size()) {
-            simd::prefetch_write(&count_[ids[j + kCountPrefetchDistance]]);
-          }
-          const VertexId u = ids[j];
-          if (count_[u]++ == 0) touched_->push_back(u);
-        }
-      }
+      count_two_hop(g_, v, count_->data(), *touched_);
       // Batched Eq. 7 terms through the active kernel: one gather+divide
       // sweep instead of a scalar division per candidate. Every kernel
       // performs the same correctly-rounded IEEE double division, so the

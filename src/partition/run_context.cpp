@@ -141,15 +141,6 @@ std::string Telemetry::to_json() const {
   return out;
 }
 
-void Telemetry::merge_from(const Telemetry& other) {
-  for (const auto& [name, value] : other.counters_) add(name, value);
-  for (const auto& [name, value] : other.timers_) add_seconds(name, value);
-  for (const auto& [name, values] : other.series_) {
-    auto& mine = series_[name];
-    mine.insert(mine.end(), values.begin(), values.end());
-  }
-}
-
 void Telemetry::clear() {
   counters_.clear();
   timers_.clear();

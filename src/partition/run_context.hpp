@@ -194,14 +194,6 @@ class Telemetry {
   /// The named series, or nullptr if never written.
   [[nodiscard]] const std::vector<double>* series(std::string_view name) const;
 
-  /// Folds another sink into this one: counters and timers are ADDED,
-  /// series are APPENDED in other's order. Gauge-style keys written with
-  /// set_max() do not survive addition — producers that fan out per-worker
-  /// keep gauges in plain locals and set_max() once on the parent (see
-  /// core/multi_tlp.cpp). Callers merging several workers must do so in a
-  /// fixed order (worker 0, 1, ...) so series stay deterministic.
-  void merge_from(const Telemetry& other);
-
   /// Opt-in phase-boundary callback, fired by every ScopedTimer from
   /// time(): once on scope entry (seconds < 0) and once on exit (seconds =
   /// elapsed wall time). Lets profilers cut per phase (perf markers,
@@ -303,14 +295,12 @@ class RunContext {
     return last_algorithm_;
   }
 
-  /// Worker-private child context #index, created lazily and CACHED for the
-  /// parent's lifetime — worker `i` of every run reuses child(i)'s arena, so
-  /// repeated parallel runs get the same warm-arena behaviour as the parent
-  /// (multi-threaded growth leases per-worker scratch from here; a shared
-  /// ScratchArena is not thread-safe). Child telemetry is scratch space:
-  /// producers clear it at run start and merge_from() it into the parent at
-  /// a barrier. Children share nothing with the parent automatically —
-  /// cancellation stays on the parent's token.
+  /// Per-partition child context #index, created lazily and CACHED for the
+  /// parent's lifetime — partition `i` of every run reuses child(i)'s
+  /// arena, so a warm rerun hands each partition its own buffers back
+  /// (concurrent multi-partition growth leases each partition's frontier
+  /// from here). Children share nothing with the parent automatically —
+  /// telemetry and cancellation stay on the parent.
   [[nodiscard]] RunContext& child(std::size_t index);
 
   /// Number of child contexts created so far.

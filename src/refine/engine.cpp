@@ -27,7 +27,7 @@ struct MoveRecord {
 class SerialRun {
  public:
   SerialRun(const Graph& g, EdgePartition& partition,
-            const EngineOptions& options, RunContext& ctx)
+            const RefineOptions& options, RunContext& ctx)
       : g_(g),
         partition_(partition),
         options_(options),
@@ -44,8 +44,8 @@ class SerialRun {
         floor_(MoveState::floor_for(g.num_edges(), partition.num_partitions(),
                                     options.balance_slack)) {}
 
-  EngineStats run() {
-    EngineStats stats;
+  RefineResult run() {
+    RefineResult stats;
     if (partition_.num_partitions() < 2 || g_.num_edges() == 0) return stats;
     for (int pass = 1; pass <= options_.max_passes; ++pass) {
       ctx_.check_cancelled();
@@ -97,7 +97,7 @@ class SerialRun {
   }
 
   /// Recomputes f's best move and rekeys (or drops) its heap entry.
-  void reindex(EdgeId f, PartitionId from, EngineStats& stats) {
+  void reindex(EdgeId f, PartitionId from, RefineResult& stats) {
     ++stats.reindexed;
     const MoveState::Candidate cand = state_.best_move(g_.edge(f), from, cap_);
     if (cand.to != kNoPartition) {
@@ -116,7 +116,7 @@ class SerialRun {
   /// which keeps the heap's LIFO recency the same as a full recompute
   /// would; one that is not in the heap gets a fresh best_move.
   void reindex_around(VertexId x, PartitionId a, PartitionId b,
-                      std::uint32_t pass, EngineStats& stats) {
+                      std::uint32_t pass, RefineResult& stats) {
     const std::uint32_t in_a = state_.count(x, a);
     const std::uint32_t in_b = state_.count(x, b);
     const bool whole = in_a == 0 || in_b == 1;
@@ -149,7 +149,7 @@ class SerialRun {
   /// recently parked first) whose key the release raises. The others stay
   /// parked: re-pushing them all would bury the heap's recency order under
   /// edges that find k full again one move later.
-  void requeue(PartitionId k, std::uint32_t pass, EngineStats& stats) {
+  void requeue(PartitionId k, std::uint32_t pass, RefineResult& stats) {
     for (std::size_t b = GainHeap::kNumBuckets; b-- > 0;) {
       std::vector<EdgeId>& bucket = parked_[k][b];
       while (!bucket.empty()) {
@@ -170,7 +170,7 @@ class SerialRun {
   }
 
   /// Runs one pass; returns the number of SURVIVING moves.
-  std::size_t run_pass(std::uint32_t pass, EngineStats& stats) {
+  std::size_t run_pass(std::uint32_t pass, RefineResult& stats) {
     rebuild_heap();
     ++stats.heap_rebuilds;
     log_.clear();
@@ -239,7 +239,7 @@ class SerialRun {
 
   const Graph& g_;
   EdgePartition& partition_;
-  const EngineOptions& options_;
+  const RefineOptions& options_;
   const RunContext& ctx_;
   MoveState state_;
   GainHeap heap_;
@@ -260,14 +260,14 @@ class SerialRun {
 
 }  // namespace
 
-EngineStats refine_gain(const Graph& g, EdgePartition& partition,
-                        const EngineOptions& options, RunContext& ctx) {
+RefineResult refine_gain(const Graph& g, EdgePartition& partition,
+                         const RefineOptions& options, RunContext& ctx) {
   SerialRun run(g, partition, options, ctx);
   return run.run();
 }
 
-EngineStats refine_gain(const Graph& g, EdgePartition& partition,
-                        const EngineOptions& options) {
+RefineResult refine_gain(const Graph& g, EdgePartition& partition,
+                         const RefineOptions& options) {
   RunContext ctx;
   return refine_gain(g, partition, options, ctx);
 }

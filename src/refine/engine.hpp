@@ -58,46 +58,64 @@
 #include "partition/edge_partition.hpp"
 #include "partition/run_context.hpp"
 
-namespace tlp::refine {
+namespace tlp {
 
-struct EngineOptions {
-  /// Maximum passes (full gain reindexes). Each pass unlocks all edges.
-  int max_passes = 8;
-  /// Load ceiling as a multiple of m/p (hard constraint; see above).
+enum class RefineEngine {
+  kGainHeap,  ///< serial gain-heap engine with escapes (the default)
+  kGreedy,    ///< ascending-edge-order sweep (the differential oracle)
+};
+
+/// Options for both refinement engines (core/refine_rf.hpp dispatches on
+/// `engine`; refine_gain below ignores it).
+struct RefineOptions {
+  RefineEngine engine = RefineEngine::kGainHeap;
+  /// Maximum passes: one full sweep (kGreedy) or reindex (kGainHeap) each.
+  /// Each gain-heap pass unlocks all edges.
+  int max_passes = 4;
+  /// Load ceiling as a multiple of m/p (hard constraint; see above): moves
+  /// never push a partition above it (and never move INTO a partition
+  /// already above it).
   double balance_slack = 1.05;
-  /// Maximum CONSECUTIVE non-positive-gain moves before the pass gives up
-  /// and rolls back to the best prefix. 0 = pure hill-climbing.
+  /// kGainHeap only: maximum CONSECUTIVE non-positive-gain moves before
+  /// the pass gives up and rolls back to the best prefix. 0 = pure
+  /// hill-climbing.
   std::uint32_t escape_budget = 32;
 };
 
-struct EngineStats {
+struct RefineResult {
   /// Moves surviving rollback (what the final partition reflects).
   std::size_t moves = 0;
   /// Net replica reduction == sum of surviving gains (>= 0 by rollback).
   std::size_t replicas_removed = 0;
-  /// Applied escape (gain <= 0) moves, INCLUDING later-rolled-back ones.
+  int passes = 0;  ///< sweeps / passes
+  /// kGainHeap: applied escape (gain <= 0) moves, INCLUDING later-rolled-
+  /// back ones (0 for greedy).
   std::size_t escape_moves = 0;
-  /// Passes that ended in a rollback (escape walk never found a new best).
+  /// kGainHeap: passes that ended in a rollback (escape walk never found a
+  /// new best).
   std::size_t rollbacks = 0;
-  /// Full per-pass reindexes + in-heap compaction events.
+  /// kGainHeap: full per-pass reindexes + in-heap compaction events.
   std::size_t heap_rebuilds = 0;
-  /// best_move calls outside the pass-start rebuild: pop revalidations,
-  /// the post-move delta-gain reindex, and parked-edge requeues.
+  /// kGainHeap: best_move calls outside the pass-start rebuild: pop
+  /// revalidations, the post-move delta-gain reindex, and parked-edge
+  /// requeues.
   std::size_t reindexed = 0;
-  /// Parked edges re-evaluated because their partition dropped below the
-  /// cap (each is also counted in `reindexed`).
+  /// kGainHeap: parked edges re-evaluated because their partition dropped
+  /// below the cap (each is also counted in `reindexed`).
   std::size_t requeued = 0;
-  int passes = 0;
 };
+
+namespace refine {
 
 /// Refines `partition` in place with the gain-heap engine; scratch comes
 /// from ctx's arena, and ctx's cancel token is polled (see above). The
 /// result is complete/in-range if the input was.
-EngineStats refine_gain(const Graph& g, EdgePartition& partition,
-                        const EngineOptions& options, RunContext& ctx);
+RefineResult refine_gain(const Graph& g, EdgePartition& partition,
+                         const RefineOptions& options, RunContext& ctx);
 
 /// Convenience overload owning a private context (tests, one-shot callers).
-EngineStats refine_gain(const Graph& g, EdgePartition& partition,
-                        const EngineOptions& options = {});
+RefineResult refine_gain(const Graph& g, EdgePartition& partition,
+                         const RefineOptions& options = {});
 
-}  // namespace tlp::refine
+}  // namespace refine
+}  // namespace tlp

@@ -1,6 +1,5 @@
 // The tentpole invariant of the SIMD kernel layer: partitions are
-// byte-identical across every kernel x thread count x storage tier
-// combination. The kernels change instruction selection, never
+// byte-identical across every kernel x storage tier combination. The kernels change instruction selection, never
 // values; this suite is the executable proof.
 //
 // Kernels are swept in-process via intersect::set_active, the only way to
@@ -99,14 +98,13 @@ TEST_F(KernelDifferential, SequentialTlpKernelInvariant) {
   }
 }
 
-// The name predates the removal of the steal and shard axes; it is kept so
-// test results stay comparable across history.
+// The name predates the removal of the thread, steal and shard axes; it is
+// kept so test results stay comparable across history.
 TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
   KernelGuard guard;
   PartitionConfig config;
   config.num_partitions = 8;
-  // Scalar single-thread in-memory run is the reference for the ENTIRE
-  // matrix.
+  // Scalar in-memory run is the reference for the ENTIRE matrix.
   ASSERT_TRUE(intersect::set_active(Kernel::kScalar));
   const EdgePartition expected =
       MultiTlpPartitioner{}.partition(reference(), config);
@@ -117,18 +115,12 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
   };
   for (const Kernel k : supported_kernels()) {
     ASSERT_TRUE(intersect::set_active(k));
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      MultiTlpOptions mo;
-      mo.num_threads = threads;
-      const MultiTlpPartitioner partitioner{mo};
-      for (const auto& [label, options] : tiers) {
-        SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
-                     " threads=" + std::to_string(threads) + " tier=" + label);
-        const Graph tiered = io::load_csr_file(csr_path(), options);
-        EXPECT_EQ(partitioner.partition(tiered, config).raw(),
-                  expected.raw());
-      }
+    for (const auto& [label, options] : tiers) {
+      SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
+                   " tier=" + label);
+      const Graph tiered = io::load_csr_file(csr_path(), options);
+      EXPECT_EQ(MultiTlpPartitioner{}.partition(tiered, config).raw(),
+                expected.raw());
     }
   }
 }

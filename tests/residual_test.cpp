@@ -1,6 +1,6 @@
 // Tests for ResidualState's bit-packed claim bitmap: word boundaries
 // (bits 63/64, the last edge of a partial word) on both the serial
-// mark_assigned path and the atomic try_claim + commit_claim path.
+// mark_assigned path and the super-step try_claim + commit_claim path.
 #include "core/residual.hpp"
 
 #include <gtest/gtest.h>
@@ -31,16 +31,16 @@ TEST(ResidualState, ClaimBitmapWordBoundaries) {
     for (const EdgeId e : {EdgeId{62}, EdgeId{63}, EdgeId{64}}) {
       if (e < m) probes.insert(e);
     }
-    for (const bool atomic_path : {false, true}) {
+    for (const bool claim_path : {false, true}) {
       SCOPED_TRACE(::testing::Message()
-                   << "m=" << m << (atomic_path ? " try_claim" : " mark"));
+                   << "m=" << m << (claim_path ? " try_claim" : " mark"));
       ScratchArena arena;
       ResidualState residual(g, arena);
       EXPECT_EQ(residual.unassigned_count(), m);
       EdgeId claimed = 0;
       for (const EdgeId e : probes) {
         EXPECT_FALSE(residual.is_assigned(e)) << "edge " << e;
-        if (atomic_path) {
+        if (claim_path) {
           EXPECT_TRUE(residual.try_claim(e)) << "edge " << e;
           residual.commit_claim(e);
         } else {

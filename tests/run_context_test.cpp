@@ -166,25 +166,6 @@ TEST(Telemetry, ClearResetsEverything) {
   EXPECT_EQ(t.series("s"), nullptr);
 }
 
-TEST(Telemetry, MergeFromAddsCountersAndTimersAndConcatenatesSeries) {
-  Telemetry parent;
-  parent.add("joins", 2.0);
-  parent.add_seconds("phase_s", 1.0);
-  parent.append("rounds", 1.0);
-  Telemetry worker;
-  worker.add("joins", 3.0);
-  worker.add("conflicts", 1.0);
-  worker.add_seconds("phase_s", 0.5);
-  worker.append("rounds", 2.0);
-  parent.merge_from(worker);
-  EXPECT_EQ(parent.counter("joins"), 5.0);
-  EXPECT_EQ(parent.counter("conflicts"), 1.0);
-  EXPECT_EQ(parent.timer_seconds("phase_s"), 1.5);
-  EXPECT_EQ(*parent.series("rounds"), (std::vector<double>{1.0, 2.0}));
-  // The source is untouched.
-  EXPECT_EQ(worker.counter("joins"), 3.0);
-}
-
 TEST(Telemetry, PhaseHookFiresOnEntryAndExit) {
   Telemetry t;
   std::vector<std::pair<std::string, double>> events;
@@ -287,7 +268,7 @@ TEST(RunContext, ArenaHitsFromSecondRunOnward) {
   EXPECT_EQ(ctx.arena().misses(), misses_after_first);
 }
 
-/// Arena misses of `ctx` plus those of every worker child it has created.
+/// Arena misses of `ctx` plus those of every child it has created.
 std::uint64_t total_misses(RunContext& ctx) {
   std::uint64_t misses = ctx.arena().misses();
   for (std::size_t i = 0; i < ctx.num_children(); ++i) {
@@ -298,22 +279,16 @@ std::uint64_t total_misses(RunContext& ctx) {
 
 // Zero steady-state allocation on a hub-heavy graph, for both growth
 // engines: a warm rerun on the same context allocates no new scratch, in the
-// parent arena or in any multi_tlp worker child.
+// parent arena or in any multi_tlp per-partition child.
 TEST(RunContext, WarmRerunAddsNoArenaMissesOnPowerLaw) {
   const Graph g = gen::chung_lu_power_law(4000, 24000, 2.1, 7);
   PartitionConfig config;
   config.num_partitions = 8;
-  MultiTlpOptions two_workers;
-  two_workers.num_threads = 2;
   const TlpPartitioner tlp;
   const TlpPartitioner tlp_r = make_tlp_r(0.5);
-  const MultiTlpPartitioner multi1;
-  const MultiTlpPartitioner multi2(two_workers);
+  const MultiTlpPartitioner multi;
   const std::pair<const char*, const Partitioner*> cases[] = {
-      {"tlp", &tlp},
-      {"tlp_r0.5", &tlp_r},
-      {"multi_tlp W=1", &multi1},
-      {"multi_tlp W=2", &multi2}};
+      {"tlp", &tlp}, {"tlp_r0.5", &tlp_r}, {"multi_tlp", &multi}};
   for (const auto& [label, algo] : cases) {
     SCOPED_TRACE(label);
     RunContext ctx;

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "core/tlp.hpp"
+#include "core/two_hop.hpp"
 #include "gen/generators.hpp"
 #include "partition/metrics.hpp"
 #include "partition/validator.hpp"
@@ -146,6 +149,39 @@ TEST(Tlp, NoOvershootRespectsCapacityOutsideLastRound) {
   }
   EXPECT_LE(over, 1u);
   EXPECT_TRUE(validate(g, part, config).ok());
+}
+
+// The counting pass both growth engines use, checked directly: on a
+// hub-heavy graph the byte oracles reach it only a few times per run, so a
+// pass that skipped a one-hop list could still match them.
+TEST(TwoHop, CountsMatchCommonNeighborCount) {
+  const Graph g = gen::chung_lu_power_law(1000, 6000, 2.1, 7);
+  std::vector<std::uint32_t> count(g.num_vertices(), 0);
+  std::vector<VertexId> touched;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    count_two_hop(g, v, count.data(), touched);
+    std::size_t two_hop = 0;
+    for (const VertexId w : g.neighbor_ids(v)) {
+      for (const VertexId u : g.neighbor_ids(w)) {
+        ASSERT_EQ(count[u], g.common_neighbor_count(u, v))
+            << "v=" << v << " u=" << u;
+        ++two_hop;
+      }
+    }
+    // Each two-hop id is recorded once, and only two-hop ids are.
+    std::vector<VertexId> distinct = touched;
+    std::sort(distinct.begin(), distinct.end());
+    ASSERT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+    std::size_t counted = 0;
+    for (const VertexId u : touched) counted += count[u];
+    ASSERT_EQ(counted, two_hop) << "v=" << v;
+    // The caller's reset leaves the array all-zero for the next pass.
+    for (const VertexId u : touched) count[u] = 0;
+    touched.clear();
+    ASSERT_EQ(std::count(count.begin(), count.end(), 0u),
+              static_cast<std::ptrdiff_t>(count.size()))
+        << "v=" << v;
+  }
 }
 
 TEST(TlpTelemetry, StageOneSelectsHigherDegreeVertices) {

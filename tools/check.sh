@@ -2,18 +2,17 @@
 # Tier-1 verification plus a sanitizer pass.
 #
 #   tools/check.sh            # docs link check, tier-1 build + ctest, then
-#                             # ASan, UBSan, and TSan test runs, then the
-#                             # Release smokes
+#                             # ASan and UBSan test runs, then the Release
+#                             # smokes
 #   tools/check.sh --fast     # link check + tier-1 only (skip sanitizers +
 #                             # Release smokes)
 #
 # Each configuration builds into its own directory (build/, build-asan/,
-# build-ubsan/, build-tsan/, build-release/) so incremental re-runs stay
-# cheap. The TSan leg only runs the concurrency-relevant suites (the thread
-# pool and the parallel multi-partition growth under its static schedule)
-# with the worker count forced above one. The
-# refinement perf smoke runs refine_runtime's win table at -O2. The
-# growth oracle (TlpReference*), the warm-arena gate
+# build-ubsan/, build-release/, build-nosimd/) so incremental re-runs stay
+# cheap. No library code starts a thread, so there is no ThreadSanitizer
+# leg. The refinement perf smoke runs refine_runtime's win table at -O2. The
+# growth oracle (TlpReference*), the multi_tlp byte pin
+# (MultiTlp.OutputBytesPinned), the warm-arena gate
 # (RunContext.WarmRerunAddsNoArenaMissesOnPowerLaw) and kernel identity
 # (KernelDifferential*) run in every ctest leg. The out-of-core leg caps
 # the heap with `ulimit -d` below the CSR size and requires the mmap
@@ -62,18 +61,6 @@ run_suite build-asan -DTLP_SANITIZE=address \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
 run_suite build-ubsan -DTLP_SANITIZE=undefined \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
-
-# TSan: only the suites that actually spin up threads. The multi_tlp suite
-# includes cross-thread-count runs (2 to 16 workers), so claim/commit and
-# frontier-update races surface here. The serial refine_engine suite rides
-# along as a cheap guard on the shared arena and telemetry code it uses.
-echo "== configure build-tsan (-DTLP_SANITIZE=thread) =="
-cmake -B build-tsan -S . -DTLP_SANITIZE=thread \
-  -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF > /dev/null
-cmake --build build-tsan -j "$JOBS" \
-  --target thread_pool_test multi_tlp_test refine_engine_test
-echo "== ctest build-tsan (MultiTlp|ThreadPool|Refine) =="
-(cd build-tsan && ctest --output-on-failure -R 'MultiTlp|ThreadPool|Refine')
 
 # Refinement perf smoke: two graphs at quarter scale through the win-
 # condition table and the engine x base sweep. Exits nonzero if tlp+refine
@@ -143,5 +130,5 @@ cmake --build build-nosimd -j "$JOBS" \
 (cd build-nosimd && ctest --output-on-failure \
   -R 'IntersectKernels|IntersectionCost|KernelDifferential|Graph')
 
-echo "check.sh: tier-1 + ASan + UBSan + TSan + refine smoke +" \
-     "out-of-core + ingest + nosimd green"
+echo "check.sh: tier-1 + ASan + UBSan + refine smoke + out-of-core +" \
+     "ingest + nosimd green"
