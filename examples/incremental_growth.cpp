@@ -2,8 +2,8 @@
 // partitioning with graphs that "increase incrementally". This example
 // seeds a community graph, partitions it once with TLP, then streams a 50%
 // growth wave through the IncrementalAssigner — tracking the live
-// replication factor and the estimated GAS superstep cost as the graph
-// grows, and comparing the end state against re-partitioning from scratch.
+// replication factor as the graph grows, and comparing the end state
+// against re-partitioning from scratch.
 //
 //   $ ./incremental_growth [seed_edges] [p]
 #include <algorithm>
@@ -13,7 +13,6 @@
 
 #include "bench_common/table.hpp"
 #include "core/tlp.hpp"
-#include "engine/cluster_model.hpp"
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
 #include "partition/metrics.hpp"
@@ -87,12 +86,5 @@ int main(int argc, char** argv) {
             << "\nre-partitioned from scratch RF     = "
             << replication_factor(grown, fresh)
             << "\n(the gap is the price of never moving an edge)\n";
-
-  const auto estimate = engine::estimate_superstep(grown, fresh);
-  std::cout << "\nestimated GAS superstep on the re-partitioned graph: "
-            << estimate.total_seconds() * 1e3 << " ms (compute "
-            << estimate.compute_seconds * 1e3 << ", comm "
-            << estimate.comm_seconds * 1e3 << ", barrier "
-            << estimate.barrier_seconds * 1e3 << ")\n";
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "baselines/baselines.hpp"
-#include "partition/replica_set.hpp"
 
 namespace tlp::baselines {
 namespace {
@@ -87,7 +86,6 @@ EdgePartition TwoPhaseStreamingPartitioner::do_partition(
 
   // ---- Phase 2: cluster-aware edge assignment ----------------------------
   auto assign_timer = t.time("assign_s");
-  ReplicaSetPool replicas(arena, g.num_vertices(), p);
   auto load = arena.acquire<EdgeId>(p, 0);
   const EdgeId cap = config.capacity(g.num_edges()) +
                      config.capacity(g.num_edges()) / 10 + 1;
@@ -115,8 +113,6 @@ EdgePartition TwoPhaseStreamingPartitioner::do_partition(
       }
     }
     result.assign(e, target);
-    replicas.insert(edge.u, target);
-    replicas.insert(edge.v, target);
     ++load[target];
   }
   assign_timer.stop();

@@ -5,6 +5,8 @@
 //   tlp_cli partition <graph.txt> <algo> <p> [seed] [out.parts]
 //   tlp_cli evaluate <graph.txt> <parts-file>         re-score a .parts file
 //   tlp_cli convert <in> <out>                        text <-> binary (by extension)
+//   tlp_cli compare <graph.txt> <p>                   all algorithms, one table
+//   tlp_cli algorithms                                list registered algorithms
 //
 // A global --storage=<spec> flag (or the TLP_STORAGE environment variable)
 // selects the storage tier every loaded graph runs on:
@@ -12,9 +14,9 @@
 // .tlpc inputs open directly on that tier; other formats are loaded and
 // re-tiered through a spill file. The .tlpc extension selects the binary
 // CSR format on output (generate/convert).
-//   tlp_cli compare <graph.txt> <p>                   all algorithms, one table
-//   tlp_cli pagerank <graph.txt> <algo> <p> [iters]   GAS engine simulation
-//   tlp_cli algorithms                                list registered algorithms
+//
+// Numeric arguments (p, seed) must be plain decimal numbers that fit their
+// type; anything else prints "error: bad <what> '<text>'" and exits 2.
 //
 // Generate models:
 //   er <n> <m>  |  ba <n> <deg>  |  rmat <n> <m>  |  cl <n> <m> <gamma>
@@ -26,16 +28,19 @@
 // applies the same compaction and is therefore always consistent with
 // `partition` output for the same input file. Use examples/partition_file
 // to keep original ids.
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common/runner.hpp"
 #include "bench_common/table.hpp"
-#include "engine/pagerank.hpp"
 #include "gen/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
@@ -56,7 +61,6 @@ int usage() {
       "  evaluate <graph.txt> <parts-file>\n"
       "  convert <in> <out>                 (.bin edge-list / .tlpc CSR binary)\n"
       "  compare <graph.txt> <p>\n"
-      "  pagerank <graph.txt> <algo> <p> [iters]\n"
       "  algorithms\n"
       "  --storage: in_memory | mmap\n"
       "             (or the TLP_STORAGE environment variable)\n";
@@ -90,8 +94,23 @@ Graph load(const std::string& path) {
   return g;
 }
 
-std::uint64_t to_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+// Strict decimal parse: digits only — no sign, no whitespace, no trailing
+// characters, no overflow of T.
+template <typename T>
+std::optional<T> parse_uint(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+// parse_uint for a command-line argument; reports a bad one on stderr.
+template <typename T>
+std::optional<T> parse_arg(const std::string& text, const char* what) {
+  const std::optional<T> value = parse_uint<T>(text);
+  if (!value) std::cerr << "error: bad " << what << " '" << text << "'\n";
+  return value;
 }
 
 int cmd_generate(const std::vector<std::string>& args) {
@@ -152,10 +171,15 @@ int cmd_stats(const std::vector<std::string>& args) {
 
 int cmd_partition(const std::vector<std::string>& args) {
   if (args.size() < 3) return usage();
+  const auto p = parse_arg<PartitionId>(args[2], "p");
+  const auto seed =
+      args.size() > 3 ? parse_arg<std::uint64_t>(args[3], "seed")
+                      : std::optional<std::uint64_t>{42};
+  if (!p || !seed) return 2;
   const Graph g = load(args[0]);
   PartitionConfig config;
-  config.num_partitions = static_cast<PartitionId>(to_u64(args[2]));
-  config.seed = args.size() > 3 ? to_u64(args[3]) : 42;
+  config.num_partitions = *p;
+  config.seed = *seed;
 
   const PartitionerPtr partitioner = make_partitioner(args[1]);
   const bench::RunResult r = bench::run_partitioner(*partitioner, g, config);
@@ -196,15 +220,22 @@ int cmd_evaluate(const std::vector<std::string>& args) {
   PartitionId max_part = 0;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
-    VertexId u;
-    VertexId v;
-    PartitionId part;
-    if (std::sscanf(line.c_str(), "%u %u %u", &u, &v, &part) != 3) {
+    std::istringstream fields(line);
+    std::string u_text;
+    std::string v_text;
+    std::string part_text;
+    std::string extra;
+    fields >> u_text >> v_text >> part_text;
+    const auto u = parse_uint<VertexId>(u_text);
+    const auto v = parse_uint<VertexId>(v_text);
+    const auto part = parse_uint<PartitionId>(part_text);
+    // kNoPartition marks "unassigned"; it is never a partition id.
+    if (!u || !v || !part || *part >= kNoPartition || fields >> extra) {
       std::cerr << "malformed line: " << line << '\n';
       return 1;
     }
-    lookup[{std::min(u, v), std::max(u, v)}] = part;
-    max_part = std::max(max_part, part);
+    lookup[{std::min(*u, *v), std::max(*u, *v)}] = *part;
+    max_part = std::max(max_part, *part);
   }
   EdgePartition partition(max_part + 1, g.num_edges());
   EdgeId missing = 0;
@@ -257,9 +288,11 @@ int cmd_convert(const std::vector<std::string>& args) {
 
 int cmd_compare(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
+  const auto p = parse_arg<PartitionId>(args[1], "p");
+  if (!p) return 2;
   const Graph g = load(args[0]);
   PartitionConfig config;
-  config.num_partitions = static_cast<PartitionId>(to_u64(args[1]));
+  config.num_partitions = *p;
   bench::Table table({"Algorithm", "RF", "balance", "time s"});
   for (const std::string& name : registered_partitioners()) {
     const bench::RunResult r =
@@ -269,24 +302,6 @@ int cmd_compare(const std::vector<std::string>& args) {
                    bench::fmt_double(r.seconds, 3)});
   }
   table.print(std::cout);
-  return 0;
-}
-
-int cmd_pagerank(const std::vector<std::string>& args) {
-  if (args.size() < 3) return usage();
-  const Graph g = load(args[0]);
-  PartitionConfig config;
-  config.num_partitions = static_cast<PartitionId>(to_u64(args[2]));
-  const std::size_t iters = args.size() > 3 ? to_u64(args[3]) : 20;
-  const EdgePartition part =
-      make_partitioner(args[1])->partition(g, config);
-  const auto result = engine::pagerank(g, part, iters);
-  std::cout << "rf:             " << replication_factor(g, part)
-            << "\nsupersteps:     " << result.comm.supersteps
-            << "\nmirrors:        " << result.comm.mirror_count
-            << "\ntotal messages: " << result.comm.total_messages()
-            << "\nmsgs/superstep: " << result.comm.messages_per_superstep()
-            << '\n';
   return 0;
 }
 
@@ -316,7 +331,6 @@ int main(int argc, char** argv) {
     if (command == "evaluate") return cmd_evaluate(args);
     if (command == "convert") return cmd_convert(args);
     if (command == "compare") return cmd_compare(args);
-    if (command == "pagerank") return cmd_pagerank(args);
     if (command == "algorithms") {
       for (const std::string& name : registered_partitioners()) {
         std::cout << name << '\n';
