@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks: partitioner throughput scaling and the
 // hot substrate operations (CSR construction, common-neighbor counting per
-// intersect kernel, frontier churn). Complements the table/figure
-// reproductions with the paper's Section III.E complexity discussion (TLP
-// is O(L^2 d^2) worst case; these curves show the practical near-linear
-// behavior).
+// intersect kernel and by the Stage-I scorer, frontier churn). Complements
+// the table/figure reproductions with the paper's Section III.E complexity
+// discussion (TLP is O(L^2 d^2) worst case; these curves show the practical
+// near-linear behavior).
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -14,6 +14,7 @@
 #include "core/frontier.hpp"
 #include "core/multi_tlp.hpp"
 #include "core/refine_rf.hpp"
+#include "core/stage1_scorer.hpp"
 #include "core/tlp.hpp"
 #include "stream/window_tlp.hpp"
 #include "gen/generators.hpp"
@@ -138,10 +139,18 @@ void BM_CsrConstruction(benchmark::State& state) {
 BENCHMARK(BM_CsrConstruction)->Arg(10000)->Arg(160000)
     ->Unit(benchmark::kMillisecond);
 
-/// One intersect kernel (the argument is its intersect::Kernel value) over
-/// edge-sampled vertex pairs: real power-law adjacency lists, hub pairs
+/// Edge-sampled vertex pairs: real power-law adjacency lists, hub pairs
 /// included, so the merge/gallop mix matches what the partitioners see.
-/// Items/s is intersections per second.
+std::vector<Edge> sampled_pairs(const Graph& g) {
+  std::mt19937_64 rng(1234);
+  std::uniform_int_distribution<EdgeId> pick(0, g.num_edges() - 1);
+  std::vector<Edge> pairs(20000);
+  for (Edge& e : pairs) e = g.edge(pick(rng));
+  return pairs;
+}
+
+/// One intersect kernel (the argument is its intersect::Kernel value) over
+/// the sampled pairs. Items/s is intersections per second.
 void BM_CommonNeighborCount(benchmark::State& state) {
   const auto kind = static_cast<intersect::Kernel>(state.range(0));
   if (!intersect::supported(kind)) {
@@ -149,10 +158,7 @@ void BM_CommonNeighborCount(benchmark::State& state) {
     return;
   }
   const Graph g = test_graph(100000);
-  std::mt19937_64 rng(1234);
-  std::uniform_int_distribution<EdgeId> pick(0, g.num_edges() - 1);
-  std::vector<Edge> pairs(20000);
-  for (Edge& e : pairs) e = g.edge(pick(rng));
+  const std::vector<Edge> pairs = sampled_pairs(g);
 
   const intersect::Kernel entry = intersect::active_kind();
   (void)intersect::set_active(kind);
@@ -170,6 +176,29 @@ BENCHMARK(BM_CommonNeighborCount)
     ->Arg(static_cast<int>(intersect::Kernel::kScalar))
     ->Arg(static_cast<int>(intersect::Kernel::kAvx2))
     ->Unit(benchmark::kMicrosecond);
+
+/// The growth engines' Stage-I scorer over the same pairs, one join scope
+/// per pair: set N(e.v)'s bits, probe along N(e.u), clear. Every probe
+/// pays a full set and clear here, which a real join amortises over all of
+/// the candidates it scores. Items/s is terms per second.
+void BM_Stage1Scorer(benchmark::State& state) {
+  const Graph g = test_graph(100000);
+  const std::vector<Edge> pairs = sampled_pairs(g);
+  ScratchArena arena;
+  Stage1Scorer scorer(g, arena);
+  for (auto _ : state) {
+    std::uint64_t sum = 0;
+    for (const Edge& e : pairs) {
+      Stage1Scorer::Join scores(scorer, e.v);
+      sum += scores.common(e.u);
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pairs.size()));
+}
+BENCHMARK(BM_Stage1Scorer)->Unit(benchmark::kMicrosecond);
+
 
 void BM_ReplicationFactor(benchmark::State& state) {
   const Graph g = test_graph(160000);

@@ -10,8 +10,7 @@
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
-#include "core/two_hop.hpp"
-#include "graph/intersect_kernels.hpp"
+#include "core/stage1_scorer.hpp"
 #include "partition/replica_set.hpp"
 #include "partition/spill.hpp"
 
@@ -38,10 +37,7 @@ class MultiRun {
         joined_(ctx.arena().acquire<VertexId>(config.num_partitions,
                                               kInvalidVertex)),
         seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())),
-        count_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
-        count_touched_(ctx.arena().acquire<VertexId>(0)),
-        batch_ids_(ctx.arena().acquire<VertexId>(0)),
-        batch_terms_(ctx.arena().acquire<double>(0)),
+        scorer_(g, ctx.arena()),
         refreshed_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
         cmark_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
         rmark_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
@@ -359,30 +355,18 @@ class MultiRun {
   /// Folds partition k's own join into its frontier: remove the new member
   /// and connect its still-residual neighbors. c grows by one per edge and
   /// μs1 is a running max over static terms, so only the new member's
-  /// Eq. 7 term needs computing; like sequential TLP, a single two-hop
-  /// counting pass computes |N(u) ∩ N(v)| for every neighbor at once when
-  /// that is cheaper than per-pair intersections.
+  /// Eq. 7 term needs computing, by the Stage-I scorer sequential TLP uses.
   void apply_join(VertexId v, PartitionId k, std::uint32_t mark) {
     Part& part = parts_[k];
     part.frontier.remove(v);
-    std::size_t two_hop_cost = 0;
-    std::size_t merge_cost = 0;
-    bool any = false;
-    for (const Neighbor& nb : g_.neighbors(v)) {
-      two_hop_cost += g_.degree(nb.vertex);
-      if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
-      if (member_.contains(nb.vertex, k)) continue;
-      if (refreshed_[nb.vertex] == mark) continue;
-      any = true;
-      merge_cost += Graph::intersection_cost(g_.degree(nb.vertex),
-                                             g_.degree(v));
-    }
-    if (!any) return;
-    const bool use_counting = two_hop_cost < merge_cost;
-    const double dv =
-        static_cast<double>(std::max<std::size_t>(1, g_.degree(v)));
     auto& frontier = part.frontier;
-    const auto connect = [&](VertexId u, double term) {
+    Stage1Scorer::Join scores(scorer_, v);
+    for (const Neighbor& nb : g_.neighbors(v)) {
+      if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
+      const VertexId u = nb.vertex;
+      if (member_.contains(u, k)) continue;
+      if (refreshed_[u] == mark) continue;  // refresh counted v already
+      const double term = scores.term(u);
       if (frontier.contains(u)) {
         const auto& cand = frontier.at(u);
         frontier.upsert(u, cand.c + 1, residual_.residual_degree(u),
@@ -390,38 +374,6 @@ class MultiRun {
       } else {
         frontier.upsert(u, 1, residual_.residual_degree(u), term);
         touched_[u] = 1;
-      }
-    };
-    if (use_counting) {
-      count_two_hop(g_, v, count_->data(), *count_touched_);
-      // Batched Eq. 7 divides through the active kernel. Candidates are
-      // collected in adjacency order, so the upserts happen in exactly the
-      // order the per-pair path produces — and every kernel performs the
-      // same correctly-rounded IEEE division, keeping the result
-      // kernel-invariant.
-      batch_ids_->clear();
-      for (const Neighbor& nb : g_.neighbors(v)) {
-        if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
-        if (member_.contains(nb.vertex, k)) continue;
-        if (refreshed_[nb.vertex] == mark) continue;
-        batch_ids_->push_back(nb.vertex);
-      }
-      const std::size_t n = batch_ids_->size();
-      batch_terms_->resize(n);
-      intersect::active().stage1_terms(count_->data(), batch_ids_->data(), n,
-                                       dv, batch_terms_->data());
-      for (std::size_t i = 0; i < n; ++i) {
-        connect((*batch_ids_)[i], (*batch_terms_)[i]);
-      }
-      for (const VertexId x : *count_touched_) count_[x] = 0;
-      count_touched_->clear();
-    } else {
-      for (const Neighbor& nb : g_.neighbors(v)) {
-        if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
-        const VertexId u = nb.vertex;
-        if (member_.contains(u, k)) continue;
-        if (refreshed_[u] == mark) continue;  // refresh counted v already
-        connect(u, static_cast<double>(g_.common_neighbor_count(u, v)) / dv);
       }
     }
   }
@@ -538,11 +490,7 @@ class MultiRun {
   /// Vertex joined by each partition this super-step (or kInvalidVertex).
   ScratchArena::Lease<VertexId> joined_;
   ScratchArena::Lease<VertexId> seed_order_;
-  /// Two-hop counting pass scratch (core/two_hop.hpp).
-  ScratchArena::Lease<std::uint32_t> count_;
-  ScratchArena::Lease<VertexId> count_touched_;
-  ScratchArena::Lease<VertexId> batch_ids_;    ///< eligible candidates
-  ScratchArena::Lease<double> batch_terms_;    ///< batched Eq. 7 terms
+  Stage1Scorer scorer_;
   ScratchArena::Lease<std::uint32_t> refreshed_;  ///< full-refresh marks
   ScratchArena::Lease<std::uint32_t> cmark_;      ///< c_dirty_ dedup marks
   ScratchArena::Lease<std::uint32_t> rmark_;      ///< rdeg_dirty_ dedup marks

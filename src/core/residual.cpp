@@ -24,21 +24,10 @@ ResidualState::ResidualState(const Graph& g, ScratchArena& arena)
   }
 }
 
-void ResidualState::mark_assigned(EdgeId e) {
-  assert(!is_assigned(e));
-  const auto id = static_cast<std::size_t>(e);
-  assigned_[id >> 6] |= bit_mask(id);
-  commit_claim(e);
-}
-
 void ResidualState::commit_claim(EdgeId e) {
   assert(is_assigned(e));
   const Edge& edge = graph_->edge(e);
-  assert(residual_degree_.get(edge.u) > 0 &&
-         residual_degree_.get(edge.v) > 0);
-  residual_degree_.decrement(edge.u);
-  residual_degree_.decrement(edge.v);
-  --unassigned_;
+  release(edge.u, edge.v);
 }
 
 }  // namespace tlp

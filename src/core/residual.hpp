@@ -4,6 +4,7 @@
 // tables come from the run's ScratchArena so repeated runs reuse capacity.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -112,9 +113,18 @@ class ResidualState {
 
   [[nodiscard]] EdgeId unassigned_count() const { return unassigned_; }
 
-  /// Marks e assigned and decrements both endpoints' residual degrees.
+  /// Marks e = {a, b} assigned and decrements both endpoints' residual
+  /// degrees. The caller passes the endpoints it already holds, so the
+  /// serial join path never loads the m-entry edge array.
   /// Precondition: e is unassigned.
-  void mark_assigned(EdgeId e);
+  void mark_assigned(EdgeId e, VertexId a, VertexId b) {
+    assert(!is_assigned(e));
+    assert(std::minmax(a, b) ==
+           std::minmax(graph_->edge(e).u, graph_->edge(e).v));
+    const auto id = static_cast<std::size_t>(e);
+    assigned_[id >> 6] |= bit_mask(id);
+    release(a, b);
+  }
 
   /// Claim path for super-step growth (core/multi_tlp.cpp): sets e's bit
   /// and reports whether THIS call flipped it (test-and-set). A false
@@ -140,6 +150,14 @@ class ResidualState {
  private:
   [[nodiscard]] static std::uint64_t bit_mask(std::size_t id) {
     return std::uint64_t{1} << (id & 63);
+  }
+
+  /// Takes one assigned edge {a, b} out of the residual degrees and count.
+  void release(VertexId a, VertexId b) {
+    assert(residual_degree_.get(a) > 0 && residual_degree_.get(b) > 0);
+    residual_degree_.decrement(a);
+    residual_degree_.decrement(b);
+    --unassigned_;
   }
 
   const Graph* graph_;

@@ -11,8 +11,7 @@
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
-#include "core/two_hop.hpp"
-#include "graph/intersect_kernels.hpp"
+#include "core/stage1_scorer.hpp"
 #include "partition/spill.hpp"
 
 namespace tlp {
@@ -61,10 +60,7 @@ class GrowthRun {
         frontier_(ctx.arena(), g.num_vertices()),
         member_round_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(),
                                                          kNoRound)),
-        count_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
-        touched_(ctx.arena().acquire<VertexId>(0)),
-        residual_neighbors_(ctx.arena().acquire<VertexId>(0)),
-        terms_(ctx.arena().acquire<double>(0)),
+        scorer_(g, ctx.arena()),
         seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())) {
     // A fixed random permutation provides the paper's "select vertex x from
     // G randomly" deterministically: each (re)seed takes the next vertex in
@@ -119,76 +115,37 @@ class GrowthRun {
     return kInvalidVertex;
   }
 
-  /// Stage-I score contribution of candidate u via joining member v (Eq. 7):
-  /// |N(u) ∩ N(v)| / |N(v)| on the static graph.
-  [[nodiscard]] double stage1_term(VertexId u, VertexId v) const {
-    const std::size_t dv = g_.degree(v);
-    if (dv == 0) return 0.0;
-    return static_cast<double>(g_.common_neighbor_count(u, v)) /
-           static_cast<double>(dv);
-  }
-
   /// Adds v to the current partition: claims all residual edges between v
   /// and members, extends the frontier with v's remaining residual edges.
   ///
-  /// Stage-I scoring strategy is chosen per join: either per-candidate
-  /// sorted-list intersections, or one shared counting pass over v's
-  /// two-hop neighborhood (cn(u, v) for ALL u at once) — the latter removes
-  /// the rdeg(v) * deg(v) blowup when hubs join, which dominates runtime on
-  /// power-law graphs.
+  /// Each new connection carries the Eq. 7 bound
+  /// min(deg u, deg v) / deg v; the exact term |N(u) ∩ N(v)| / |N(v)|
+  /// comes from the shared Stage-I scorer, and only when the bound beats
+  /// u's running μs1. The scorer sets N(v)'s bits on the first such term
+  /// and clears them when the join's scope ends.
   void join(VertexId v, PartitionId k) {
     frontier_.remove(v);  // no-op for seeds
     member_round_[v] = current_round_;
 
-    residual_neighbors_->clear();
     const std::size_t dv = g_.degree(v);
-    std::size_t two_hop_cost = 0;
-    std::size_t merge_cost = 0;
+    Stage1Scorer::Join scores(scorer_, v);
     for (const Neighbor& nb : g_.neighbors(v)) {
-      two_hop_cost += g_.degree(nb.vertex);
       if (residual_.is_assigned(nb.edge)) continue;
-      if (is_member(nb.vertex)) {
-        residual_.mark_assigned(nb.edge);
+      const VertexId u = nb.vertex;
+      if (is_member(u)) {
+        residual_.mark_assigned(nb.edge, v, u);
         partition_.assign(nb.edge, k);
         ++e_in_;
         assert(e_out_ > 0);
         --e_out_;
       } else {
         ++e_out_;
-        residual_neighbors_->push_back(nb.vertex);
-        merge_cost += Graph::intersection_cost(g_.degree(nb.vertex), dv);
-      }
-    }
-    if (residual_neighbors_->empty() || dv == 0) return;
-
-    if (two_hop_cost < merge_cost) {
-      // Shared counting pass: count_[u] = |N(u) ∩ N(v)| for every two-hop u.
-      count_two_hop(g_, v, count_->data(), *touched_);
-      // Batched Eq. 7 terms through the active kernel: one gather+divide
-      // sweep instead of a scalar division per candidate. Every kernel
-      // performs the same correctly-rounded IEEE double division, so the
-      // terms — and hence the partition — are kernel-invariant.
-      const std::size_t n = residual_neighbors_->size();
-      terms_->resize(n);
-      intersect::active().stage1_terms(count_->data(),
-                                       residual_neighbors_->data(), n,
-                                       static_cast<double>(dv),
-                                       terms_->data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const VertexId u = (*residual_neighbors_)[i];
-        frontier_.add_connection(u, residual_.residual_degree(u),
-                                 (*terms_)[i]);
-      }
-      for (const VertexId u : *touched_) count_[u] = 0;
-      touched_->clear();
-    } else {
-      for (const VertexId u : *residual_neighbors_) {
         // Upper bound on the Eq. 7 term: |N(u) ∩ N(v)| <= min(deg u, deg v).
         const double bound =
             static_cast<double>(std::min(g_.degree(u), dv)) /
             static_cast<double>(dv);
         frontier_.add_connection(u, residual_.residual_degree(u), bound,
-                                 [this, u, v] { return stage1_term(u, v); });
+                                 [&scores, u] { return scores.term(u); });
       }
     }
   }
@@ -322,11 +279,7 @@ class GrowthRun {
   EdgeId e_in_ = 0;   ///< |E(P_k)| of the partition being grown
   EdgeId e_out_ = 0;  ///< residual external edges of the current partition
 
-  // Scratch reused across joins (two-hop counting and neighbor staging).
-  ScratchArena::Lease<std::uint32_t> count_;
-  ScratchArena::Lease<VertexId> touched_;
-  ScratchArena::Lease<VertexId> residual_neighbors_;
-  ScratchArena::Lease<double> terms_;  ///< batched Eq. 7 terms per join
+  Stage1Scorer scorer_;
 
   ScratchArena::Lease<VertexId> seed_order_;
   std::size_t seed_cursor_ = 0;

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -98,32 +97,11 @@ bool Graph::has_edge(VertexId u, VertexId v) const {
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-std::size_t Graph::intersection_cost(std::size_t deg_a, std::size_t deg_b) {
-  const std::size_t small = std::min(deg_a, deg_b);
-  const std::size_t big = std::max(deg_a, deg_b);
-  if (small == 0) return 1;
-  if (intersect::chooses_gallop(small, big)) {
-    // Galloping path: each of the `small` probes costs ~2·log2 of its jump
-    // distance; the jump distances sum to `big`, so log2(big/small) + 2 per
-    // probe bounds the total. The vectorized landing window only shaves a
-    // constant off the final binary search, so the model stays scalar.
-    return small * (static_cast<std::size_t>(std::bit_width(big / small)) + 2);
-  }
-  const std::size_t lanes = intersect::active().lane_width;
-  if (lanes <= 1) return small + big;
-  // Vectorized merge: the block staircase retires one lane-width block of
-  // either list per step, so ~(small + big) / lanes steps, each costing
-  // roughly two scalar units (load + compare tree + advance). Quantized to
-  // whole lanes so tiny lists don't round to zero.
-  return 2 * ((small + big + lanes - 1) / lanes);
-}
-
 std::size_t Graph::common_neighbor_count(VertexId u, VertexId v) const {
   const auto a = neighbor_ids(u);
   const auto b = neighbor_ids(v);
   // The active intersect kernel handles the swap/empty preconditions and
-  // the merge-vs-gallop dispatch (shared with intersection_cost via
-  // intersect::chooses_gallop). Operates on neighbor_ids spans, so it is
+  // the merge-vs-gallop dispatch. Operates on neighbor_ids spans, so it is
   // storage-tier-agnostic by construction.
   return intersect::count(a.data(), a.size(), b.data(), b.size());
 }

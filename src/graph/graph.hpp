@@ -21,10 +21,8 @@
 #include <vector>
 
 #include "graph/edge.hpp"
-#include "graph/intersect_kernels.hpp"
 #include "graph/storage.hpp"
 #include "graph/types.hpp"
-#include "util/simd.hpp"
 
 namespace tlp {
 
@@ -69,7 +67,7 @@ class Graph {
   }
 
   /// Vertex-only view of neighbors(v): same order, 4-byte stride. The
-  /// growth hot path (two-hop counting, common-neighbor intersections)
+  /// growth hot path (Stage-I scoring, common-neighbor intersections)
   /// walks this mirror instead of the Neighbor pairs — a vertex-only scan
   /// through {vertex, edge} records wastes half its memory bandwidth.
   [[nodiscard]] std::span<const VertexId> neighbor_ids(VertexId v) const {
@@ -94,41 +92,14 @@ class Graph {
   /// True iff u and v are adjacent. O(log deg) via binary search.
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
 
-  /// Degree skew ratio at or above which common_neighbor_count abandons the
-  /// linear merge for a galloping (exponential-search) scan of the longer
-  /// list: O(d_min · log(d_max / d_min)) instead of O(d_min + d_max).
-  /// Aliases intersect::kGallopSkew — the kernel layer and the cost model
-  /// share one gallop predicate (intersect::chooses_gallop).
-  static constexpr std::size_t kGallopSkew = intersect::kGallopSkew;
-
   /// Number of common neighbors |N(u) ∩ N(v)|, through the active
   /// intersect kernel (graph/intersect_kernels.hpp): a lane-parallel block
   /// merge of the sorted adjacency lists, or a galloping intersection when
-  /// the degrees are skewed by ≥ kGallopSkew× (hub vertices in power-law
-  /// graphs). Every kernel returns the exact count, so results are
-  /// kernel-invariant; operates on neighbor_ids spans, so it is
+  /// the degrees are skewed by ≥ intersect::kGallopSkew× (hub vertices in
+  /// power-law graphs). Every kernel returns the exact count, so results
+  /// are kernel-invariant; operates on neighbor_ids spans, so it is
   /// tier-agnostic by construction.
   [[nodiscard]] std::size_t common_neighbor_count(VertexId u, VertexId v) const;
-
-  /// Cost model mirror of common_neighbor_count's dispatch, for callers
-  /// that budget intersections before running them (the TLP join loop
-  /// chooses between per-pair intersections and one shared counting pass
-  /// over the joiner's two-hop neighborhood). Deterministic in the degrees
-  /// alone for a fixed active kernel: the merge cost is quantized to the
-  /// kernel's lane width, and the gallop/merge branch is the kernel's own
-  /// predicate (intersect::chooses_gallop), so model and execution can
-  /// never disagree on the path taken.
-  [[nodiscard]] static std::size_t intersection_cost(std::size_t deg_a,
-                                                     std::size_t deg_b);
-
-  /// Issues a software prefetch for the head of v's vertex-only adjacency
-  /// mirror (the array common_neighbor_count and the two-hop counting pass
-  /// walk). Never faults — safe for any v < num_vertices on any storage
-  /// tier, including unmapped pages of an mmap-tier CSR.
-  void prefetch_neighbor_ids(VertexId v) const {
-    assert(v < view_.num_vertices);
-    simd::prefetch_read(view_.ids + view_.offsets[v]);
-  }
 
   /// Releases the mapped adjacency spans back to the kernel
   /// (MADV_DONTNEED) after a partition run commits; pages re-fault from

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cassert>
 
 #include "util/simd.hpp"
 
@@ -73,13 +72,6 @@ std::size_t gallop_scalar(const VertexId* a, std::size_t na, const VertexId* b,
     }
   }
   return count;
-}
-
-void terms_scalar(const std::uint32_t* counts, const VertexId* ids,
-                  std::size_t n, double divisor, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(counts[ids[i]]) / divisor;
-  }
 }
 
 #if TLP_SIMD_X86
@@ -199,28 +191,6 @@ __attribute__((target("avx2"))) std::size_t gallop_avx2(const VertexId* a,
   return count;
 }
 
-/// 4-wide batched Stage-I terms: hardware gather of the per-vertex counts,
-/// exact int32→double convert, correctly-rounded divide. The divide stays
-/// an IEEE double division (identical to the scalar expression) — never a
-/// reciprocal multiply, which would break cross-kernel byte-identity.
-__attribute__((target("avx2"))) void terms_avx2(const std::uint32_t* counts,
-                                                const VertexId* ids,
-                                                std::size_t n, double divisor,
-                                                double* out) {
-  const __m256d vdiv = _mm256_set1_pd(divisor);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vids =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i));
-    const __m128i vc = _mm_i32gather_epi32(
-        reinterpret_cast<const int*>(counts), vids, 4);
-    _mm256_storeu_pd(out + i, _mm256_div_pd(_mm256_cvtepi32_pd(vc), vdiv));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<double>(counts[ids[i]]) / divisor;
-  }
-}
-
 #endif  // TLP_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -228,10 +198,9 @@ __attribute__((target("avx2"))) void terms_avx2(const std::uint32_t* counts,
 // ---------------------------------------------------------------------------
 
 constexpr KernelTable kScalarTable = {merge_scalar, gallop_scalar,
-                                      terms_scalar, 1, Kernel::kScalar};
+                                      Kernel::kScalar};
 #if TLP_SIMD_X86
-constexpr KernelTable kAvx2Table = {merge_avx2, gallop_avx2, terms_avx2, 8,
-                                    Kernel::kAvx2};
+constexpr KernelTable kAvx2Table = {merge_avx2, gallop_avx2, Kernel::kAvx2};
 #endif
 
 const KernelTable* table_for(Kernel k) {

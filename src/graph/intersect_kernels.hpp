@@ -1,27 +1,20 @@
-// Vectorized sorted-set intersection and score kernels with runtime
-// dispatch — the instruction-level layer under the TLP growth hot path.
+// Vectorized sorted-set intersection kernels with runtime dispatch — the
+// instruction-level layer under common_neighbor_count.
 //
-// The partitioners spend almost all of their time in two loops over the
-// 4-byte-stride neighbor_ids mirror (see DESIGN.md, "Hot-path memory
-// layout"): counting |N(u) ∩ N(v)| and turning per-candidate counts into
-// Stage-I score terms. Both are pure data-parallel kernels, so this layer
-// provides two implementations of each — scalar (the portable reference,
-// byte-for-byte the pre-SIMD code) and AVX2 (8 VertexId lanes) — behind a
-// table of function pointers resolved once per process by a runtime CPUID
-// probe (AVX2 when the CPU and build have it, scalar otherwise). Code may
-// re-pin the table with set_active() (test hook — the differential suites
-// sweep every supported kernel in one process).
+// Counting |N(u) ∩ N(v)| over the 4-byte-stride neighbor_ids mirror (see
+// DESIGN.md, "Hot-path memory layout") is a pure data-parallel loop, so
+// this layer provides two implementations of each intersection path —
+// scalar (the portable reference, byte-for-byte the pre-SIMD code) and
+// AVX2 (8 VertexId lanes) — behind a table of function pointers resolved
+// once per process by a runtime CPUID probe (AVX2 when the CPU and build
+// have it, scalar otherwise). Code may re-pin the table with set_active()
+// (test hook — the differential suites sweep every supported kernel in one
+// process).
 //
-// Correctness contract: every kernel returns EXACTLY the same values as
-// the scalar reference — intersection counts are integers, and the
-// stage1_terms kernels use the same correctly-rounded IEEE double divide
-// the scalar expression uses (never a reciprocal multiply) — so partitions
-// are byte-identical across kernels by construction, and the unit suite
-// differential-fuzzes each vector kernel against the scalar oracle.
-//
-// The gallop-vs-merge decision (chooses_gallop) is shared between the
-// dispatching count() entry and Graph::intersection_cost, so the cost
-// model can never predict a different path than the kernel executes.
+// Correctness contract: every kernel returns EXACTLY the same count as the
+// scalar reference (counts are integers), so partitions are byte-identical
+// across kernels by construction, and the unit suite differential-fuzzes
+// each vector kernel against the scalar oracle.
 #pragma once
 
 #include <cstddef>
@@ -45,15 +38,9 @@ struct KernelTable {
   /// comparable sizes (block merge). Precondition: na <= nb, na > 0.
   using CountFn = std::size_t (*)(const VertexId* a, std::size_t na,
                                   const VertexId* b, std::size_t nb);
-  /// Batched Stage-I terms: out[i] = double(counts[ids[i]]) / divisor for
-  /// i in [0, n). `counts` is a dense per-vertex table; `divisor` > 0.
-  using TermsFn = void (*)(const std::uint32_t* counts, const VertexId* ids,
-                           std::size_t n, double divisor, double* out);
 
-  CountFn merge;          ///< linear path (lane-parallel block compare)
-  CountFn gallop;         ///< skewed path (exponential search + vector window)
-  TermsFn stage1_terms;   ///< batched score-term kernel
-  std::uint32_t lane_width;  ///< VertexId lanes per vector op (1 / 8)
+  CountFn merge;   ///< linear path (lane-parallel block compare)
+  CountFn gallop;  ///< skewed path (exponential search + vector window)
   Kernel kind;
 };
 
@@ -82,9 +69,8 @@ bool set_active(Kernel k);
 /// this value.
 inline constexpr std::size_t kGallopSkew = 16;
 
-/// The shared gallop-vs-merge predicate: true iff count(a, na, b, nb)
-/// takes the galloping path. Pure in the sizes; also the branch
-/// Graph::intersection_cost models (a regression test pins the agreement).
+/// The gallop-vs-merge predicate: true iff count(a, na, b, nb) takes the
+/// galloping path. Pure in the sizes.
 [[nodiscard]] inline bool chooses_gallop(std::size_t na, std::size_t nb) {
   const std::size_t small = na < nb ? na : nb;
   const std::size_t big = na < nb ? nb : na;
@@ -105,7 +91,7 @@ inline constexpr std::size_t kGallopSkew = 16;
   }
   if (na == 0) return 0;
   const KernelTable& k = active();
-  return nb >= kGallopSkew * na ? k.gallop(a, na, b, nb)
+  return chooses_gallop(na, nb) ? k.gallop(a, na, b, nb)
                                 : k.merge(a, na, b, nb);
 }
 

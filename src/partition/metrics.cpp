@@ -3,21 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
+#include <vector>
 
 namespace tlp {
 namespace {
 
-/// Visits each (vertex, partition) incidence pair exactly once.
+/// Visits each (vertex, partition) incidence pair exactly once. A p-entry
+/// "last vertex seen" table dedups the pairs: vertices are visited in
+/// order, so last_seen[k] == v iff v already reported partition k. Ids
+/// outside [0, p) (hand-built invalid partitions, which the validator
+/// reports) are skipped, as EdgePartition::edge_counts skips them.
 template <typename Fn>
 void for_each_vertex_partition(const Graph& g, const EdgePartition& partition,
                                Fn&& fn) {
-  std::unordered_set<PartitionId> seen;
+  std::vector<VertexId> last_seen(partition.num_partitions(), kInvalidVertex);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    seen.clear();
     for (const Neighbor& nb : g.neighbors(v)) {
       const PartitionId p = partition.partition_of(nb.edge);
-      if (p != kNoPartition && seen.insert(p).second) {
+      if (p < last_seen.size() && last_seen[p] != v) {
+        last_seen[p] = v;
         fn(v, p);
       }
     }

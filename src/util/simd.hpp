@@ -11,10 +11,10 @@
 //   * Runtime capability queries: cpu_supports_* wrap __builtin_cpu_supports
 //     and are safe to call on every platform (they return false where the
 //     ISA cannot exist).
-//   * Software prefetch: prefetch_read/prefetch_write compile to
-//     PREFETCHT0 (or nothing) and never fault, so they may be issued for
-//     addresses that are about to be range-checked — including pages of an
-//     mmap-tier CSR that were never touched.
+//   * Software prefetch: prefetch_read compiles to PREFETCHT0 (or nothing)
+//     and never faults, so it may be issued for addresses that are about
+//     to be range-checked — including pages of an mmap-tier CSR that were
+//     never touched.
 //
 // Alignment rule (ASan/UBSan contract): vector kernels must only use the
 // unaligned intrinsic load/store forms (_mm*_loadu_*/_mm*_storeu_*) or
@@ -49,15 +49,6 @@ inline bool cpu_supports_avx2() {
 inline void prefetch_read(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
-/// Hints that `p` will be written soon (read-for-ownership).
-inline void prefetch_write(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/1, /*locality=*/3);
 #else
   (void)p;
 #endif

@@ -137,7 +137,7 @@ Graph skewed_pair(std::size_t small_deg, std::size_t big_deg,
 TEST(Graph, CommonNeighborCountAtGallopThresholdBoundary) {
   // deg(0) = 4 against deg(1) = 60 / 64 / 68: skews of 15x (merge), 16x
   // (first gallop), and 17x (gallop). The count must be identical on both
-  // sides of Graph::kGallopSkew.
+  // sides of intersect::kGallopSkew.
   for (const std::size_t ratio : {15u, 16u, 17u}) {
     const std::size_t small_deg = 4;
     const std::size_t big_deg = small_deg * ratio;

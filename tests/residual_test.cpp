@@ -44,7 +44,7 @@ TEST(ResidualState, ClaimBitmapWordBoundaries) {
           EXPECT_TRUE(residual.try_claim(e)) << "edge " << e;
           residual.commit_claim(e);
         } else {
-          residual.mark_assigned(e);
+          residual.mark_assigned(e, g.edge(e).u, g.edge(e).v);
         }
         ++claimed;
         EXPECT_TRUE(residual.is_assigned(e)) << "edge " << e;

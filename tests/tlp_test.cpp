@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/tlp.hpp"
-#include "core/two_hop.hpp"
+#include "core/stage1_scorer.hpp"
 #include "gen/generators.hpp"
 #include "partition/metrics.hpp"
 #include "partition/validator.hpp"
@@ -151,37 +151,42 @@ TEST(Tlp, NoOvershootRespectsCapacityOutsideLastRound) {
   EXPECT_TRUE(validate(g, part, config).ok());
 }
 
-// The counting pass both growth engines use, checked directly: on a
-// hub-heavy graph the byte oracles reach it only a few times per run, so a
-// pass that skipped a one-hop list could still match them.
-TEST(TwoHop, CountsMatchCommonNeighborCount) {
-  const Graph g = gen::chung_lu_power_law(1000, 6000, 2.1, 7);
-  std::vector<std::uint32_t> count(g.num_vertices(), 0);
-  std::vector<VertexId> touched;
+// The Stage-I scorer both growth engines use, checked directly: on a
+// hub-heavy graph the byte oracles reach a hub's join only a few times per
+// run, so a probe that missed a word of N(v) could still match them.
+void expect_scorer_matches_common_neighbor_count(const Graph& g) {
+  ScratchArena arena;
+  Stage1Scorer scorer(g, arena);
+  const auto all_zero = [&scorer] {
+    const auto words = scorer.words();
+    return std::all_of(words.begin(), words.end(),
+                       [](std::uint64_t w) { return w == 0; });
+  };
+  ASSERT_TRUE(all_zero());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    count_two_hop(g, v, count.data(), touched);
-    std::size_t two_hop = 0;
-    for (const VertexId w : g.neighbor_ids(v)) {
-      for (const VertexId u : g.neighbor_ids(w)) {
-        ASSERT_EQ(count[u], g.common_neighbor_count(u, v))
+    {
+      Stage1Scorer::Join scores(scorer, v);
+      for (const VertexId u : g.neighbor_ids(v)) {
+        const std::size_t expected = g.common_neighbor_count(u, v);
+        ASSERT_EQ(scores.common(u), expected) << "v=" << v << " u=" << u;
+        ASSERT_EQ(scores.term(u), static_cast<double>(expected) /
+                                      static_cast<double>(g.degree(v)))
             << "v=" << v << " u=" << u;
-        ++two_hop;
       }
     }
-    // Each two-hop id is recorded once, and only two-hop ids are.
-    std::vector<VertexId> distinct = touched;
-    std::sort(distinct.begin(), distinct.end());
-    ASSERT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
-    std::size_t counted = 0;
-    for (const VertexId u : touched) counted += count[u];
-    ASSERT_EQ(counted, two_hop) << "v=" << v;
-    // The caller's reset leaves the array all-zero for the next pass.
-    for (const VertexId u : touched) count[u] = 0;
-    touched.clear();
-    ASSERT_EQ(std::count(count.begin(), count.end(), 0u),
-              static_cast<std::ptrdiff_t>(count.size()))
-        << "v=" << v;
+    ASSERT_TRUE(all_zero()) << "v=" << v;
   }
+}
+
+TEST(Stage1Scorer, ProbeMatchesCommonNeighborCountOnHubs) {
+  expect_scorer_matches_common_neighbor_count(
+      gen::chung_lu_power_law(1000, 6000, 2.1, 7));
+}
+
+TEST(Stage1Scorer, ProbeMatchesCommonNeighborCountOnSparseGraph) {
+  // Degree ~6 everywhere; the rewired edges make N(v) span distant words.
+  expect_scorer_matches_common_neighbor_count(
+      gen::watts_strogatz(5000, 6, 0.1, 3));
 }
 
 TEST(TlpTelemetry, StageOneSelectsHigherDegreeVertices) {
