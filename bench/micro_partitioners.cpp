@@ -6,11 +6,13 @@
 // near-linear behavior).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "baselines/baselines.hpp"
+#include "bench_common/datasets.hpp"
 #include "core/frontier.hpp"
 #include "core/multi_tlp.hpp"
 #include "core/refine_rf.hpp"
@@ -18,6 +20,7 @@
 #include "core/tlp.hpp"
 #include "stream/window_tlp.hpp"
 #include "gen/generators.hpp"
+#include "graph/builder.hpp"
 #include "graph/intersect_kernels.hpp"
 #include "metis/multilevel.hpp"
 #include "partition/metrics.hpp"
@@ -50,6 +53,47 @@ void BM_TlpPartition(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 BENCHMARK(BM_TlpPartition)->Arg(10000)->Arg(40000)->Arg(160000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Genealogy-shaped graph of about `edges` edges (the G9 stand-in: a
+/// shallow forest plus a power-law overlay), its edge list shuffled and
+/// reingested so vertex ids carry no generation order — the shape of the
+/// sparse-outofcore perfbench input.
+Graph shuffled_genealogy(std::int64_t edges) {
+  const auto g9_edges = bench::paper_datasets().back().paper_edges;
+  const Graph g0 = bench::make_dataset(
+      "G9", static_cast<double>(edges) / static_cast<double>(g9_edges));
+  std::vector<Edge> list(g0.edges().begin(), g0.edges().end());
+  std::mt19937_64 rng(4);
+  std::shuffle(list.begin(), list.end(), rng);
+  GraphBuilder builder;
+  for (const Edge& e : list) builder.add_edge(e.u, e.v);
+  return builder.build();
+}
+
+/// More BM_TlpPartition rows, one per growth path: `tlp_r0` selects every
+/// vertex in Stage II (no μs1 is ever scored), and `tlp` on the shuffled
+/// genealogy graph spends most of its joins in Stage II, at p = 32.
+void BM_TlpPartitionOf(benchmark::State& state, TlpOptions options,
+                       bool genealogy) {
+  const Graph g = genealogy ? shuffled_genealogy(state.range(0))
+                            : test_graph(state.range(0));
+  const TlpPartitioner tlp(options);
+  PartitionConfig config;
+  config.num_partitions = genealogy ? 32 : 10;
+  RunContext ctx;  // shared across iterations: arena reuse from iter 2 on
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlp.partition(g, config, ctx));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+}
+BENCHMARK_CAPTURE(BM_TlpPartitionOf, tlp_r0, make_tlp_r(0.0).options(),
+                  false)
+    ->Arg(160000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TlpPartitionOf, genealogy_shuffled, TlpOptions{}, true)
+    ->Arg(210000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MetisPartition(benchmark::State& state) {

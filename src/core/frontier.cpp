@@ -27,13 +27,15 @@ Frontier::Frontier()
       arena_(own_arena_.get()),
       cand_(arena_->acquire<Candidate>(0)),
       stamp_(arena_->acquire<std::uint32_t>(0)),
-      stage1_heap_(arena_->acquire<HeapEntry>(0)) {}
+      stage1_heap_(arena_->acquire<HeapEntry>(0)),
+      touched_(arena_->acquire<Touch>(0)) {}
 
 Frontier::Frontier(ScratchArena& arena, VertexId num_vertices)
     : arena_(&arena),
       cand_(arena_->acquire<Candidate>(num_vertices)),
       stamp_(arena_->acquire<std::uint32_t>(num_vertices, 0)),
-      stage1_heap_(arena_->acquire<HeapEntry>(0)) {}
+      stage1_heap_(arena_->acquire<HeapEntry>(0)),
+      touched_(arena_->acquire<Touch>(0)) {}
 
 void Frontier::clear() {
   size_ = 0;
@@ -42,6 +44,8 @@ void Frontier::clear() {
     ladder_[c - 1]->clear();  // ditto: drained buckets stay pooled
   }
   hwm_c_ = 0;
+  live_ = Live::kBoth;
+  touched_->clear();
   if (++epoch_ == 0) {
     // A wrapped epoch could resurrect prehistoric stamps; re-zero and
     // restart. Unreachable in practice (2^32 - 1 rounds on one frontier).
@@ -70,7 +74,7 @@ void Frontier::bucket_push(std::uint32_t c, std::uint32_t rdeg, VertexId v) {
   std::push_heap(bucket->begin(), bucket->end(), std::greater<>{});
 }
 
-VertexId Frontier::select_stage1() {
+VertexId Frontier::stage1_top() {
   auto& heap = *stage1_heap_;
   while (!heap.empty()) {
     const HeapEntry top = heap.front();
@@ -85,6 +89,15 @@ VertexId Frontier::select_stage1() {
 }
 
 VertexId Frontier::select_stage2(EdgeId e_in, EdgeId e_out) {
+  if (live_ == Live::kStage1) {
+    // Candidates untouched since the last switch still have their live
+    // ladder entry; each touched one gets the entry of its current c.
+    for (const Touch& t : *touched_) {
+      if (touch_live(t)) bucket_push(t.c, (*cand_)[t.vertex].rdeg, t.vertex);
+    }
+    switched();
+  }
+  live_ = Live::kStage2;
   VertexId best = kInvalidVertex;
   std::uint64_t best_num = 0;
   std::uint64_t best_den = 1;

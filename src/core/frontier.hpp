@@ -20,6 +20,25 @@
 //    value — O(#distinct c) instead of O(|frontier|) per step. Buckets are
 //    lazily-invalidated min-heaps: entries from superseded (c, rdeg) states
 //    are dropped when they surface.
+//  * Only ONE index is live: the one of the stage the caller last selected
+//    from. A round runs long stretches in one stage (it leaves Stage II for
+//    Stage I only a handful of times per run), so while Stage I selects,
+//    a connection skips the Stage-II ladder push, and while Stage II
+//    selects, it skips the Stage-I heap push and the lazy overload never
+//    calls its μs1 thunk. After clear() both indexes are maintained until
+//    the round's first select picks one.
+//  * A switch rebuilds the other index from a TOUCHED LIST of (v, c)
+//    records, one per connection since the last switch; only the record
+//    whose c equals v's current c acts, which dedups without a per-vertex
+//    flag. Switching to Stage II pushes one ladder entry per touched
+//    candidate. Switching back to Stage I re-states each touched
+//    candidate's μs1 through the caller's rescore function (the lazy
+//    overload left it stale) and pushes it onto the heap. Candidates not
+//    touched since the last switch keep their entries, which are still
+//    live. A switch therefore costs O(candidates touched since the last
+//    switch), never O(|frontier|). Both indexes end up holding exactly the
+//    (c, rdeg, μs1) an eager frontier would hold, so every selection — and
+//    every output byte — is the same.
 //
 // Hot-path memory layout (this is the single hottest structure in the
 // system, so none of it chases pointers):
@@ -33,10 +52,10 @@
 //    mark: c is small and dense (it grows by 1 per neighboring join), so a
 //    vector of buckets replaces the former std::map<c, Bucket>. Drained
 //    buckets keep their storage for the next round instead of being erased.
-//  * The stage-1 heap, the bucket ladder's heaps, and both dense arrays are
-//    leased from a ScratchArena, so a frontier constructed from a
-//    RunContext's arena stops allocating after warm-up: the join/select path
-//    is allocation-free from the second run onward.
+//  * The stage-1 heap, the bucket ladder's heaps, the touched list and both
+//    dense arrays are leased from a ScratchArena, so a frontier constructed
+//    from a RunContext's arena stops allocating after warm-up: the
+//    join/select path is allocation-free from the second run onward.
 // A default-constructed Frontier owns a private arena and grows its dense
 // arrays on demand (tests, one-off use); pass the vertex count up front to
 // pre-size them.
@@ -95,27 +114,21 @@ class Frontier {
   /// via a joining member. The Stage-I contribution (Eq. 7 term
   /// |N(u) ∩ N(member)| / |N(member)|) can be expensive, so callers pass a
   /// cheap upper bound plus a thunk computing the exact term; the thunk is
-  /// only invoked when the bound can beat u's current running max. Inserts u
-  /// (with frozen residual degree `residual_degree`) if new.
+  /// only invoked when Stage I is live and the bound can beat u's current
+  /// running max. While Stage II is live u's μs1 is left stale, so a caller
+  /// of this overload selects Stage I through the rescoring
+  /// select_stage1(rescore). Inserts u (with frozen residual degree
+  /// `residual_degree`) if new.
   template <typename ScoreFn>
   void add_connection(VertexId u, std::uint32_t residual_degree,
                       double score_bound, ScoreFn&& score_fn) {
-    ensure_slot(u);
+    const bool fresh = connect(u, residual_degree);
+    if (live_ == Live::kStage2) return;  // μs1 is rescored on the switch
     Candidate& cand = (*cand_)[u];
-    if ((*stamp_)[u] != epoch_) {
-      (*stamp_)[u] = epoch_;
-      ++size_;
-      cand.c = 1;
-      cand.rdeg = residual_degree;
+    if (fresh) {
       cand.mu1 = score_fn();
-      bucket_push(cand.c, cand.rdeg, u);
       stage1_push(cand.mu1, u);
-      return;
-    }
-    assert(cand.rdeg == residual_degree);  // frozen within a round
-    ++cand.c;
-    bucket_push(cand.c, cand.rdeg, u);  // old-c entry is dropped lazily
-    if (score_bound > cand.mu1) {
+    } else if (score_bound > cand.mu1) {
       const double term = score_fn();
       if (term > cand.mu1) {
         cand.mu1 = term;
@@ -124,13 +137,17 @@ class Frontier {
     }
   }
 
-  /// Non-lazy convenience overload (window growth, tests, simple callers).
-  /// Argument order matches the lazy overload: vertex, residual degree,
-  /// then the score term.
+  /// Non-lazy overload (window growth, tests, simple callers): the term is
+  /// already known, so μs1 stays exact in both stages and the plain
+  /// select_stage1() suffices. Argument order matches the lazy overload:
+  /// vertex, residual degree, then the score term.
   void add_connection(VertexId u, std::uint32_t residual_degree,
                       double score_term) {
-    add_connection(u, residual_degree, score_term,
-                   [score_term] { return score_term; });
+    const bool fresh = connect(u, residual_degree);
+    Candidate& cand = (*cand_)[u];
+    if (!fresh && score_term <= cand.mu1) return;
+    cand.mu1 = score_term;
+    if (live_ != Live::kStage2) stage1_push(score_term, u);
   }
 
   /// Eager path (concurrent growth): inserts or re-states candidate v with
@@ -149,8 +166,17 @@ class Frontier {
     const bool push_stage1 = fresh || cand.mu1 != mu1;
     const bool push_bucket = fresh || cand.c != c || cand.rdeg != rdeg;
     cand = Candidate{c, rdeg, mu1};
-    if (push_stage1) stage1_push(mu1, v);
-    if (push_bucket) bucket_push(c, rdeg, v);
+    if (live_ == Live::kBoth) {
+      if (push_stage1) stage1_push(mu1, v);
+      if (push_bucket) bucket_push(c, rdeg, v);
+      return;
+    }
+    // Every change is recorded, so v's latest record carries its current
+    // c. μs1 is stored exactly: the switch just re-pushes stored values.
+    if (!push_stage1 && !push_bucket) return;
+    touched_->push_back({v, c});
+    if (live_ == Live::kStage1 && push_stage1) stage1_push(mu1, v);
+    if (live_ == Live::kStage2 && push_bucket) bucket_push(c, rdeg, v);
   }
 
   /// Removes v (it joined the partition, or lost its last connection).
@@ -163,14 +189,41 @@ class Frontier {
   }
 
   /// Stage-I selection: argmax μs1, ties by smaller vertex id. Returns
-  /// kInvalidVertex when empty.
-  [[nodiscard]] VertexId select_stage1();
+  /// kInvalidVertex when empty. When Stage II was live, each candidate
+  /// touched since then gets μs1 = rescore(v) first; `rescore` must return
+  /// the exact running max the eager path would hold (the caller's Eq. 7
+  /// max over the members v is connected to).
+  template <typename RescoreFn>
+  [[nodiscard]] VertexId select_stage1(RescoreFn&& rescore) {
+    if (live_ == Live::kStage2) {
+      for (const Touch& t : *touched_) {
+        if (!touch_live(t)) continue;
+        Candidate& cand = (*cand_)[t.vertex];
+        cand.mu1 = rescore(t.vertex);
+        stage1_push(cand.mu1, t.vertex);
+      }
+      switched();
+    }
+    live_ = Live::kStage1;
+    return stage1_top();
+  }
+
+  /// Stage-I selection for callers whose stored μs1 is always exact (the
+  /// value overload of add_connection, upsert).
+  [[nodiscard]] VertexId select_stage1() {
+    return select_stage1([this](VertexId v) { return (*cand_)[v].mu1; });
+  }
 
   /// Stage-II selection: argmax M' = (e_in + c)/(e_out + r - 2c); an empty
   /// post-join external set (denominator 0) ranks above everything. Ties by
   /// larger c, then smaller r, then smaller id. Returns kInvalidVertex when
   /// empty.
   [[nodiscard]] VertexId select_stage2(EdgeId e_in, EdgeId e_out);
+
+  /// Selections that found the other stage's index live (both directions,
+  /// summed over the frontier's lifetime). The first select after clear()
+  /// is not a switch.
+  [[nodiscard]] std::size_t stage_switches() const { return switches_; }
 
  private:
   struct HeapEntry {
@@ -181,6 +234,16 @@ class Frontier {
       if (a.mu1 != b.mu1) return a.mu1 < b.mu1;
       return a.vertex > b.vertex;
     }
+  };
+
+  /// Which selection index add_connection/upsert keep up to date.
+  enum class Live : std::uint8_t { kBoth, kStage1, kStage2 };
+
+  /// A connection recorded while one index was dormant: vertex and its c
+  /// right after the connection.
+  struct Touch {
+    VertexId vertex;
+    std::uint32_t c;
   };
 
   /// Min-heap of (rdeg, vertex) used per stage-2 bucket; backing vector
@@ -207,6 +270,11 @@ class Frontier {
   std::vector<Bucket> ladder_;
   std::uint32_t hwm_c_ = 0;
 
+  Live live_ = Live::kBoth;
+  /// Connections since the last switch (empty while both indexes are live).
+  ScratchArena::Lease<Touch> touched_;
+  std::size_t switches_ = 0;
+
   /// Grows the dense arrays to cover vertex v (amortized doubling; no-op on
   /// the pre-sized fast path).
   void ensure_slot(VertexId v) {
@@ -214,6 +282,45 @@ class Frontier {
     grow_to(static_cast<std::size_t>(v) + 1);
   }
   void grow_to(std::size_t n);
+
+  /// Inserts u or counts one more connection of it, then pushes its new
+  /// ladder entry (Stage II live) or records the touch (Stage I live).
+  /// Returns true iff u is new this round.
+  bool connect(VertexId u, std::uint32_t residual_degree) {
+    ensure_slot(u);
+    Candidate& cand = (*cand_)[u];
+    const bool fresh = (*stamp_)[u] != epoch_;
+    if (fresh) {
+      (*stamp_)[u] = epoch_;
+      ++size_;
+      cand.c = 1;
+      cand.rdeg = residual_degree;
+    } else {
+      assert(cand.rdeg == residual_degree);  // frozen within a round
+      ++cand.c;  // an old-c ladder entry is dropped lazily
+    }
+    if (live_ == Live::kStage1) {
+      touched_->push_back({u, cand.c});
+    } else {
+      bucket_push(cand.c, cand.rdeg, u);
+      if (live_ == Live::kStage2) touched_->push_back({u, cand.c});
+    }
+    return fresh;
+  }
+
+  /// True iff t is its candidate's latest record: still a candidate, and
+  /// no connection since.
+  [[nodiscard]] bool touch_live(const Touch& t) const {
+    return contains(t.vertex) && (*cand_)[t.vertex].c == t.c;
+  }
+
+  /// Ends a switch: the dormant index is now current.
+  void switched() {
+    touched_->clear();
+    ++switches_;
+  }
+
+  [[nodiscard]] VertexId stage1_top();
 
   void stage1_push(double mu1, VertexId v) {
     stage1_heap_->push_back({mu1, v});

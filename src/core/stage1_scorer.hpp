@@ -4,7 +4,8 @@
 // the same v. So the scorer sets the bits of N(v) in an n-bit table once,
 // on the first term the join needs, and counts each |N(u) ∩ N(v)| by
 // probing that table along N(u): O(deg u) per term, with no merge over
-// N(v) and no choice of strategy per join. When the join ends, only the
+// N(v). Only a hub u (deg u >= kGallopSkew · deg v) is counted by a
+// galloping intersection instead. When the join ends, only the
 // words of N(v) are cleared, so the table is all-zero between joins
 // without an O(n) sweep.
 #pragma once
@@ -14,6 +15,7 @@
 #include <span>
 
 #include "graph/graph.hpp"
+#include "graph/intersect_kernels.hpp"
 #include "partition/run_context.hpp"
 
 namespace tlp {
@@ -31,32 +33,41 @@ class Stage1Scorer {
   /// scope per scorer may be alive at a time.
   class Join {
    public:
-    Join(Stage1Scorer& scorer, VertexId v) : scorer_(scorer), v_(v) {}
+    Join(Stage1Scorer& scorer, VertexId v)
+        : scorer_(scorer), nv_(scorer.g_.neighbor_ids(v)) {}
     ~Join() {
-      if (loaded_) scorer_.clear(v_);
+      if (loaded_) scorer_.clear(nv_);
     }
     Join(const Join&) = delete;
     Join& operator=(const Join&) = delete;
 
-    /// |N(u) ∩ N(v)|, exactly Graph::common_neighbor_count(u, v).
+    /// |N(u) ∩ N(v)|, exactly Graph::common_neighbor_count(u, v). A probe
+    /// costs deg(u), so when u is the hub that intersect::count would
+    /// gallop over (deg u >= kGallopSkew · deg v), the term comes from
+    /// that galloping count on the two sorted lists instead.
     [[nodiscard]] std::size_t common(VertexId u) {
+      const auto nu = scorer_.g_.neighbor_ids(u);
+      if (nu.size() > nv_.size() &&
+          intersect::chooses_gallop(nv_.size(), nu.size())) {
+        return intersect::count(nv_.data(), nv_.size(), nu.data(), nu.size());
+      }
       if (!loaded_) {
-        scorer_.load(v_);
+        scorer_.load(nv_);
         loaded_ = true;
       }
-      return scorer_.probe(u);
+      return scorer_.probe(nu);
     }
 
     /// The Eq. 7 term |N(u) ∩ N(v)| / |N(v)|, as one IEEE double division.
     /// Precondition: deg(v) > 0.
     [[nodiscard]] double term(VertexId u) {
       return static_cast<double>(common(u)) /
-             static_cast<double>(scorer_.g_.degree(v_));
+             static_cast<double>(nv_.size());
     }
 
    private:
     Stage1Scorer& scorer_;
-    VertexId v_;
+    std::span<const VertexId> nv_;
     bool loaded_ = false;
   };
 
@@ -64,22 +75,22 @@ class Stage1Scorer {
   [[nodiscard]] std::span<const std::uint64_t> words() const { return *bits_; }
 
  private:
-  void load(VertexId v) {
-    for (const VertexId w : g_.neighbor_ids(v)) {
+  void load(std::span<const VertexId> ids) {
+    for (const VertexId w : ids) {
       bits_[w >> 6] |= std::uint64_t{1} << (w & 63);
     }
   }
 
-  [[nodiscard]] std::size_t probe(VertexId u) const {
+  [[nodiscard]] std::size_t probe(std::span<const VertexId> ids) const {
     std::size_t count = 0;
-    for (const VertexId w : g_.neighbor_ids(u)) {
+    for (const VertexId w : ids) {
       count += (bits_[w >> 6] >> (w & 63)) & 1u;
     }
     return count;
   }
 
-  void clear(VertexId v) {
-    for (const VertexId w : g_.neighbor_ids(v)) bits_[w >> 6] = 0;
+  void clear(std::span<const VertexId> ids) {
+    for (const VertexId w : ids) bits_[w >> 6] = 0;
   }
 
   const Graph& g_;

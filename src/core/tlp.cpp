@@ -94,6 +94,7 @@ class GrowthRun {
  private:
   static constexpr std::uint32_t kNoRound =
       std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::size_t kCancelPollJoins = 4096;
 
   [[nodiscard]] bool is_member(VertexId v) const {
     return member_round_[v] == current_round_;
@@ -150,6 +151,28 @@ class GrowthRun {
     }
   }
 
+  /// μs1(u) from scratch (Eq. 7): the max of |N(u) ∩ N(v)| / |N(v)| over
+  /// the members v that reach u by a residual edge — exactly the set of
+  /// members whose joins called add_connection(u), so this equals the
+  /// running max an eagerly maintained frontier would hold. The frontier
+  /// calls it on a switch back to Stage I, for each candidate touched while
+  /// Stage II was live. N(u) is loaded once and probed along each N(v); a
+  /// term whose Eq. 7 bound cannot beat the max so far is skipped.
+  [[nodiscard]] double rescore_mu1(VertexId u) {
+    Stage1Scorer::Join scores(scorer_, u);
+    const std::size_t du = g_.degree(u);
+    double best = 0.0;
+    for (const Neighbor& nb : g_.neighbors(u)) {
+      if (residual_.is_assigned(nb.edge) || !is_member(nb.vertex)) continue;
+      const std::size_t dv = g_.degree(nb.vertex);
+      const auto den = static_cast<double>(dv);
+      if (static_cast<double>(std::min(du, dv)) / den <= best) continue;
+      best = std::max(best,
+                      static_cast<double>(scores.common(nb.vertex)) / den);
+    }
+    return best;
+  }
+
   /// True while the current partition is in Stage I under the configured
   /// rule. TLP: M(P_k) <= 1, i.e. e_in <= e_out (Algorithm 1 line 5; covers
   /// the empty-partition M=0 case and routes e_out=0 to Stage II).
@@ -176,6 +199,9 @@ class GrowthRun {
     const EdgeId stage_capacity = config_.capacity(g_.num_edges());
 
     while (e_in_ < round_capacity && residual_.unassigned_count() > 0) {
+      // One round can be the whole run (p = 1), so the cancel token is
+      // also polled every kCancelPollJoins loop steps (one join each).
+      if (++steps_ % kCancelPollJoins == 0) ctx_.check_cancelled();
       if (frontier_.empty()) {
         if (round.joins > 0 &&
             options_.empty_frontier == EmptyFrontierPolicy::kStrict) {
@@ -194,8 +220,10 @@ class GrowthRun {
       }
 
       const bool stage1 = in_stage1(stage_capacity);
-      const VertexId v = stage1 ? frontier_.select_stage1()
-                                : frontier_.select_stage2(e_in_, e_out_);
+      const VertexId v =
+          stage1 ? frontier_.select_stage1(
+                       [this](VertexId u) { return rescore_mu1(u); })
+                 : frontier_.select_stage2(e_in_, e_out_);
       assert(v != kInvalidVertex);
       if (!options_.allow_overshoot && e_in_ > 0 &&
           e_in_ + frontier_.connections(v) > round_capacity) {
@@ -262,6 +290,7 @@ class GrowthRun {
     t.add("capacity_closes", static_cast<double>(totals_.capacity_closes));
     t.add("strict_round_ends",
           static_cast<double>(totals_.strict_round_ends));
+    t.add("stage_switches", static_cast<double>(frontier_.stage_switches()));
     t.set_max("peak_frontier", static_cast<double>(totals_.peak_frontier));
     t.set_max("peak_members", static_cast<double>(totals_.peak_members));
   }
@@ -283,6 +312,7 @@ class GrowthRun {
 
   ScratchArena::Lease<VertexId> seed_order_;
   std::size_t seed_cursor_ = 0;
+  std::size_t steps_ = 0;  ///< growth-loop steps, for the cancel poll
 
   RunLocal totals_;
 };

@@ -12,7 +12,9 @@
 // Telemetry (written into RunContext::telemetry(); see docs/API.md):
 //   counters  stage1_joins, stage2_joins, stage1_degree_sum,
 //             stage2_degree_sum, restarts, spilled_edges, capacity_closes,
-//             strict_round_ends; gauges peak_frontier, peak_members
+//             strict_round_ends, stage_switches (selections whose stage
+//             differs from the round's previous selection, both
+//             directions); gauges peak_frontier, peak_members
 //   series    round_seed, round_joins, round_stage1_joins,
 //             round_stage2_joins, round_restarts, round_edges (one entry
 //             per round), and round<k>_modularity when

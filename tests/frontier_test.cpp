@@ -3,11 +3,14 @@
 // examples here are the ground truth for the scoring math, and the
 // randomized differential suite pits the flat (epoch-stamped dense array +
 // bucket ladder) implementation against a naive O(|frontier|)-scan oracle.
+// Only the index of the stage last selected from is kept current, so the
+// stage-run scripts pin what a switch rebuilds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "core/frontier.hpp"
@@ -158,6 +161,49 @@ TEST(FrontierStage2, StageSelectionsAreIndependent) {
   f.add_connection(2, 2, 0.01);  // poor μs1, great M'
   EXPECT_EQ(f.select_stage1(), 1u);
   EXPECT_EQ(f.select_stage2(3, 3), 2u);
+}
+
+// While Stage II is live the lazy overload never scores; the switch back
+// rescores exactly the candidates connected since the switch, once each.
+TEST(FrontierStages, StageTwoSkipsThunkAndSwitchBackRescoresTouched) {
+  Frontier f;
+  int thunks = 0;
+  const auto connect = [&](VertexId u, double term) {
+    f.add_connection(u, 9, 1.0, [&thunks, term] {
+      ++thunks;
+      return term;
+    });
+  };
+  connect(1, 0.3);
+  connect(2, 0.6);
+  EXPECT_EQ(thunks, 2);  // both indexes are live before the first select
+  EXPECT_EQ(f.select_stage1(), 2u);
+  EXPECT_EQ(f.select_stage2(0, 4), 1u);  // ties at c=1, rdeg=9: smaller id
+  EXPECT_EQ(f.stage_switches(), 1u);
+
+  connect(1, 0.9);
+  connect(3, 0.1);
+  connect(1, 0.2);
+  EXPECT_EQ(thunks, 2);  // Stage II is live: no Stage-I scoring at all
+  EXPECT_EQ(f.select_stage2(0, 6), 1u);  // c(1) = 3
+
+  std::multiset<VertexId> rescored;
+  const auto rescore = [&rescored](VertexId v) {
+    rescored.insert(v);
+    return v == 1 ? 0.9 : 0.1;  // the exact running max of each
+  };
+  EXPECT_EQ(f.select_stage1(rescore), 1u);
+  EXPECT_EQ(rescored, (std::multiset<VertexId>{1, 3}));  // 2 was untouched
+  EXPECT_EQ(f.stage_switches(), 2u);
+  EXPECT_DOUBLE_EQ(f.at(1).mu1, 0.9);
+
+  rescored.clear();
+  EXPECT_EQ(f.select_stage1(rescore), 1u);  // no switch: nothing rescored
+  EXPECT_TRUE(rescored.empty());
+  f.clear();
+  connect(4, 0.5);
+  EXPECT_EQ(f.select_stage2(0, 1), 4u);  // first select of a round
+  EXPECT_EQ(f.stage_switches(), 2u);
 }
 
 // The eager path (concurrent growth): c, rdeg, and μs1 may all be re-stated
@@ -402,6 +448,132 @@ TEST(FrontierDifferential, EagerScriptMatchesOracle) {
           << "stage2 diverged at op " << op;
     }
   }
+}
+
+/// How a stage-run script states candidates.
+enum class Connect { kValue, kLazy, kUpsert };
+
+/// Stage-run script: selections stay in one stage for runs of random
+/// length (often one select, sometimes dozens) and then switch, so each
+/// index spends long stretches dormant and is rebuilt from the touched
+/// list. The lazy flavour's thunk must never run while Stage II is live,
+/// and a switch back may rescore only candidates connected since the
+/// switch. The upsert flavour often re-states one key and keeps the other,
+/// which leaves a candidate's older touch records behind its current c.
+void run_stage_script(Connect how, std::uint32_t seed) {
+  constexpr VertexId kIds = 48;
+  std::mt19937 rng(seed);
+  Frontier flat;
+  OracleFrontier oracle;
+  std::vector<std::uint32_t> round_rdeg(kIds, 0);
+  const auto roll = [&](std::uint32_t lo, std::uint32_t hi) {
+    return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
+  };
+
+  bool stage1 = true;
+  bool selected = false;  // a select since the last clear()
+  int run_left = 1;
+  std::set<VertexId> since_switch;
+  int stage2_thunks = 0;
+  int switches = 0;
+  const auto rescore = [&](VertexId v) {
+    EXPECT_TRUE(since_switch.contains(v)) << "rescored untouched " << v;
+    return oracle.all().at(v).mu1;
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    const std::uint32_t kind = roll(0, 99);
+    if (kind < 50) {
+      const VertexId u = roll(0, kIds - 1);
+      if (how == Connect::kUpsert) {
+        const bool live = oracle.contains(u);
+        OracleCandidate next{roll(1, 12), 0, roll(0, 1000) / 1000.0};
+        next.rdeg = roll(next.c, 12);
+        if (live && roll(0, 1) == 0) {
+          const OracleCandidate& cur = oracle.all().at(u);
+          if (roll(0, 1) == 0) {
+            next.mu1 = cur.mu1;  // only c/rdeg move
+          } else {
+            next.c = cur.c;  // only μs1 moves
+            next.rdeg = cur.rdeg;
+          }
+        }
+        flat.upsert(u, next.c, next.rdeg, next.mu1);
+        oracle.upsert(u, next.c, next.rdeg, next.mu1);
+      } else {
+        if (!oracle.contains(u)) round_rdeg[u] = roll(1, 10);
+        const std::uint32_t rdeg = round_rdeg[u];
+        if (oracle.contains(u) && oracle.all().at(u).c >= rdeg) continue;
+        const double term = roll(0, 1000) / 1000.0;
+        if (how == Connect::kValue) {
+          flat.add_connection(u, rdeg, term);
+        } else {
+          const double bound = std::min(1.0, term + roll(0, 300) / 1000.0);
+          flat.add_connection(u, rdeg, bound, [&, term] {
+            if (selected && !stage1) ++stage2_thunks;
+            return term;
+          });
+        }
+        oracle.add_connection(u, rdeg, term);
+      }
+      since_switch.insert(u);
+    } else if (kind < 65) {  // remove a random live candidate
+      if (oracle.size() == 0) continue;
+      auto it = oracle.all().begin();
+      std::advance(it, roll(0, static_cast<std::uint32_t>(oracle.size()) - 1));
+      const VertexId v = it->first;
+      flat.remove(v);
+      oracle.remove(v);
+    } else if (kind < 98) {  // select in the current stage
+      bool switching = false;
+      if (--run_left <= 0) {
+        switching = selected;
+        stage1 = !stage1;
+        run_left = roll(0, 3) == 0 ? static_cast<int>(roll(10, 60))
+                                   : static_cast<int>(roll(1, 3));
+        if (switching) ++switches;
+      }
+      ASSERT_EQ(flat.size(), oracle.size());
+      if (stage1) {
+        const VertexId got = how == Connect::kLazy
+                                 ? flat.select_stage1(rescore)
+                                 : flat.select_stage1();
+        ASSERT_EQ(got, oracle.select_stage1()) << "stage1 diverged at op "
+                                               << op;
+      } else {
+        const EdgeId e_in = roll(0, 100);
+        const EdgeId e_out = oracle.sum_c() + roll(0, 5);
+        ASSERT_EQ(flat.select_stage2(e_in, e_out),
+                  oracle.select_stage2(e_in, e_out))
+            << "stage2 diverged at op " << op;
+      }
+      ASSERT_EQ(flat.stage_switches(), static_cast<std::size_t>(switches));
+      // Connections before a round's first select, or before a switch,
+      // are already in both indexes.
+      if (!selected || switching) since_switch.clear();
+      selected = true;
+    } else {  // end of round
+      flat.clear();
+      oracle.clear();
+      std::fill(round_rdeg.begin(), round_rdeg.end(), 0u);
+      selected = false;
+      since_switch.clear();
+    }
+  }
+  EXPECT_EQ(stage2_thunks, 0);
+  EXPECT_GT(switches, 100);
+}
+
+TEST(FrontierDifferential, StageRunsMatchOracleValueOverload) {
+  run_stage_script(Connect::kValue, 31);
+}
+
+TEST(FrontierDifferential, StageRunsMatchOracleLazyOverload) {
+  run_stage_script(Connect::kLazy, 32);
+}
+
+TEST(FrontierDifferential, StageRunsMatchOracleUpsert) {
+  run_stage_script(Connect::kUpsert, 33);
 }
 
 }  // namespace

@@ -249,6 +249,21 @@ TEST(RunContext, ExpiredDeadlineAbortsPartitioning) {
   EXPECT_THROW((void)tlp.partition(g, config, ctx), RunCancelled);
 }
 
+TEST(RunContext, DeadlineInsideOneTlpRoundAbortsPartitioning) {
+  // p = 1 makes the whole run one round, far longer than 5 ms: only the
+  // poll every 4096 growth steps can see the deadline. A first, unlimited
+  // run warms the arena, so the timed run reaches its round in well under
+  // 5 ms and the check at the round's start does not fire yet.
+  const Graph g = gen::chung_lu_power_law(20000, 200000, 2.1, 5);
+  const TlpPartitioner tlp;
+  PartitionConfig config;
+  config.num_partitions = 1;
+  RunContext ctx;
+  (void)tlp.partition(g, config, ctx);
+  ctx.cancel().set_timeout(std::chrono::milliseconds{5});
+  EXPECT_THROW((void)tlp.partition(g, config, ctx), RunCancelled);
+}
+
 TEST(RunContext, ArenaHitsFromSecondRunOnward) {
   const Graph g = gen::erdos_renyi(300, 1200, 25);
   const TlpPartitioner tlp;

@@ -4,9 +4,10 @@
 // time, the stage switch on M(P_k) or on the TLP_R edge ratio). It must
 // produce EXACTLY the same partition as the optimized incremental
 // implementation. This pins the running-max μs1 cache, the bucketed μs2
-// selection, the two-hop counting branch of the μs1 update (exercised by the
-// hub-heavy power-law case), the residual bookkeeping, both stage rules, and
-// every tie-break.
+// selection, the Stage-I scorer's probe and hub-gallop paths (the hub-heavy
+// power-law case), the stage-lazy frontier's rebuild on each switch and its
+// μs1 rescore on a return to Stage I, the residual bookkeeping, both stage
+// rules, and every tie-break.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
+#include "partition/run_context.hpp"
 #include "graph/graph.hpp"
 
 namespace tlp {
@@ -282,6 +284,30 @@ TEST(TlpReferencePowerLaw, BothStageRulesMatchNaiveExactly) {
     SCOPED_TRACE(fast_tlp.name());
     const EdgePartition fast = fast_tlp.partition(g, config);
     const EdgePartition slow = NaiveTlp(g, config, options).run();
+    ASSERT_EQ(fast.raw(), slow.raw());
+  }
+}
+
+// Rounds that return from Stage II to Stage I: the frontier left each
+// μs1 touched in Stage II stale and rebuilt it through GrowthRun's rescore.
+// A round that reaches Stage II switches once on the way in, so more
+// switches than such rounds means some round went back.
+TEST(TlpReferenceStageReturn, RescoredRoundsMatchNaiveExactly) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Graph g = gen::sbm(72, 500, 6, 0.85, seed);
+    PartitionConfig config;
+    config.num_partitions = 3;
+    config.seed = 1000 + seed;
+    SCOPED_TRACE(seed);
+    RunContext ctx;
+    const EdgePartition fast = TlpPartitioner{}.partition(g, config, ctx);
+    const Telemetry& t = ctx.telemetry();
+    const std::vector<double>* stage2 = t.series("round_stage2_joins");
+    ASSERT_NE(stage2, nullptr);
+    const auto reached = std::count_if(stage2->begin(), stage2->end(),
+                                       [](double j) { return j > 0.0; });
+    EXPECT_GT(t.counter("stage_switches"), static_cast<double>(reached));
+    const EdgePartition slow = NaiveTlp(g, config).run();
     ASSERT_EQ(fast.raw(), slow.raw());
   }
 }

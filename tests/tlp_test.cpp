@@ -227,6 +227,30 @@ TEST(TlpTelemetry, RoundsAreRecorded) {
   EXPECT_EQ(total, static_cast<double>(g.num_edges()));
 }
 
+// One stage throughout means no switch; under the modularity rule every
+// round starts in Stage I, so each round that reaches Stage II switches at
+// least once.
+TEST(TlpTelemetry, StageSwitchesCountChangesOfSelectingStage) {
+  const Graph g = gen::erdos_renyi(200, 800, 8);
+  for (const double ratio : {0.0, 1.0}) {
+    RunContext ctx;
+    (void)make_tlp_r(ratio).partition(g, config_for(4), ctx);
+    const Telemetry& t = ctx.telemetry();
+    ASSERT_EQ(t.counter(ratio == 0.0 ? "stage1_joins" : "stage2_joins"), 0.0);
+    EXPECT_EQ(t.counter("stage_switches"), 0.0) << "R=" << ratio;
+  }
+  const Graph pl = gen::chung_lu_power_law(4000, 24000, 2.1, /*seed=*/13);
+  RunContext ctx;
+  (void)TlpPartitioner{}.partition(pl, config_for(10), ctx);
+  const Telemetry& t = ctx.telemetry();
+  const std::vector<double>* stage2 = t.series("round_stage2_joins");
+  ASSERT_NE(stage2, nullptr);
+  const auto reached = std::count_if(stage2->begin(), stage2->end(),
+                                     [](double j) { return j > 0.0; });
+  ASSERT_GT(reached, 0);
+  EXPECT_GE(t.counter("stage_switches"), static_cast<double>(reached));
+}
+
 TEST(TlpR, ZeroRatioIsPureStageTwo) {
   const Graph g = gen::erdos_renyi(200, 800, 8);
   const TlpPartitioner tlp = make_tlp_r(0.0);
