@@ -1,9 +1,9 @@
-// Google-benchmark microbenchmarks: partitioner throughput scaling and the
-// hot substrate operations (CSR construction, common-neighbor counting per
-// intersect kernel and by the Stage-I scorer, frontier churn). Complements
-// the table/figure reproductions with the paper's Section III.E complexity
-// discussion (TLP is O(L^2 d^2) worst case; these curves show the practical
-// near-linear behavior).
+// Google-benchmark microbenchmarks: partitioner throughput scaling, the two
+// refinement engines, and the hot substrate operations (CSR construction,
+// common-neighbor counting per intersect kernel and by the Stage-I scorer,
+// frontier churn). Complements the table/figure reproductions with the
+// paper's Section III.E complexity discussion (TLP is O(L^2 d^2) worst
+// case; these curves show the practical near-linear behavior).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -161,6 +161,7 @@ void BM_MultiTlpPartition(benchmark::State& state) {
 BENCHMARK(BM_MultiTlpPartition)->Arg(10000)->Arg(40000)
     ->Unit(benchmark::kMillisecond);
 
+/// The greedy oracle (refine_replication) from a random partition.
 void BM_RefinePass(benchmark::State& state) {
   const Graph g = test_graph(state.range(0));
   const baselines::RandomPartitioner random;
@@ -172,6 +173,36 @@ void BM_RefinePass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RefinePass)->Arg(40000)->Unit(benchmark::kMillisecond);
+
+/// The gain-heap engine from a `tlp` partition, at the registry's
+/// tlp+refine settings (8 passes, escape budget 64, slack 1.05): the
+/// pass-start reindex plus the escape walk. The `rebuild_share` counter is
+/// the reindex's share of the engine's time.
+void BM_RefineGain(benchmark::State& state) {
+  const Graph g = test_graph(state.range(0));
+  const EdgePartition grown = TlpPartitioner{}.partition(g, config10());
+  RefineOptions options;
+  options.max_passes = 8;
+  options.escape_budget = 64;
+  options.balance_slack = 1.05;
+  RunContext ctx;  // shared across iterations: arena reuse from iter 2 on
+  double rebuild_s = 0.0;
+  double engine_s = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    EdgePartition part = grown;
+    state.ResumeTiming();
+    const RefineResult r = refine::refine_gain(g, part, options, ctx);
+    rebuild_s += r.rebuild_s;
+    engine_s += r.rebuild_s + r.walk_s;
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_edges()));
+  state.counters["rebuild_share"] = engine_s > 0.0 ? rebuild_s / engine_s : 0.0;
+}
+BENCHMARK(BM_RefineGain)->Arg(40000)->Arg(160000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CsrConstruction(benchmark::State& state) {
   const Graph g = test_graph(state.range(0));

@@ -19,9 +19,10 @@ RefineResult refine_replication(const Graph& g, EdgePartition& partition,
   const PartitionId p = partition.num_partitions();
   if (p < 2 || g.num_edges() == 0) return result;
 
-  refine::MoveState state(g, partition, ctx.arena());
-  const EdgeId cap =
-      refine::MoveState::cap_for(g.num_edges(), p, options.balance_slack);
+  refine::MoveState state(
+      g, partition,
+      refine::MoveState::cap_for(g.num_edges(), p, options.balance_slack),
+      ctx.arena());
 
   for (int pass = 0; pass < options.max_passes; ++pass) {
     ctx.check_cancelled();
@@ -33,11 +34,10 @@ RefineResult refine_replication(const Graph& g, EdgePartition& partition,
       const Edge& edge = g.edge(e);
       // No replica can be freed -> no move can have positive gain.
       if (state.freed(edge, from) == 0) continue;
-      const refine::MoveState::Candidate cand =
-          state.best_move(edge, from, cap);
+      const refine::MoveState::Candidate cand = state.best_key(edge, from);
       if (cand.to == kNoPartition || cand.gain <= 0) continue;
-      result.replicas_removed +=
-          static_cast<std::size_t>(state.apply(e, cand.to, partition));
+      result.replicas_removed += static_cast<std::size_t>(
+          state.apply(e, state.target(edge, from, cand.gain), partition));
       ++moves_this_pass;
     }
     result.moves += moves_this_pass;
@@ -86,6 +86,8 @@ EdgePartition RefinedPartitioner::do_partition(const Graph& g,
   t.add("refine_heap_rebuilds", static_cast<double>(refined.heap_rebuilds));
   t.add("refine_reindexed", static_cast<double>(refined.reindexed));
   t.add("refine_requeued", static_cast<double>(refined.requeued));
+  t.add_seconds("refine_rebuild_s", refined.rebuild_s);
+  t.add_seconds("refine_walk_s", refined.walk_s);
   return result;
 }
 

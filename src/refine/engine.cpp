@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +16,13 @@ namespace {
 /// Heap pops between two cancel-token polls inside a pass (a poll reads
 /// the clock when a deadline is set, so it stays off the per-pop path).
 constexpr std::size_t kCancelPollPops = 4096;
+
+/// Seconds since `start` on the steady clock.
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// One applied move, logged for rollback.
 struct MoveRecord {
@@ -32,15 +40,16 @@ class SerialRun {
         partition_(partition),
         options_(options),
         ctx_(ctx),
-        state_(g, partition, ctx.arena()),
+        state_(g, partition,
+               MoveState::cap_for(g.num_edges(), partition.num_partitions(),
+                                  options.balance_slack),
+               ctx.arena()),
         heap_(ctx.arena(), g.num_edges()),
         locked_(ctx.arena().acquire<std::uint32_t>(g.num_edges(), 0)),
         parked_on_(ctx.arena().acquire<PartitionId>(g.num_edges(),
                                                     kNoPartition)),
         parked_gain_(ctx.arena().acquire<std::int8_t>(g.num_edges(), 0)),
         parked_(partition.num_partitions()),
-        cap_(MoveState::cap_for(g.num_edges(), partition.num_partitions(),
-                                options.balance_slack)),
         floor_(MoveState::floor_for(g.num_edges(), partition.num_partitions(),
                                     options.balance_slack)) {}
 
@@ -59,9 +68,10 @@ class SerialRun {
   }
 
  private:
-  /// Full reindex: one heap rebuild per pass. Edges locked by THIS pass
-  /// never exist here (a pass starts with everything unlocked), and the
-  /// parked lists start empty.
+  /// Full reindex: one heap rebuild per pass, written to the heap's base
+  /// layer (one byte per edge, no pushes). Edges locked by THIS pass never
+  /// exist here (a pass starts with everything unlocked), and the parked
+  /// lists start empty.
   void rebuild_heap() {
     heap_.clear();
     for (auto& ladder : parked_) {
@@ -71,9 +81,8 @@ class SerialRun {
     for (EdgeId e = 0; e < g_.num_edges(); ++e) {
       const PartitionId from = partition_.partition_of(e);
       if (from == kNoPartition) continue;
-      const MoveState::Candidate cand =
-          state_.best_move(g_.edge(e), from, cap_);
-      if (cand.to != kNoPartition) heap_.update(e, cand.gain);
+      const MoveState::Candidate cand = state_.best_key(g_.edge(e), from);
+      if (cand.to != kNoPartition) heap_.set_base(e, cand.gain);
       park(e, cand);
     }
   }
@@ -99,7 +108,7 @@ class SerialRun {
   /// Recomputes f's best move and rekeys (or drops) its heap entry.
   void reindex(EdgeId f, PartitionId from, RefineResult& stats) {
     ++stats.reindexed;
-    const MoveState::Candidate cand = state_.best_move(g_.edge(f), from, cap_);
+    const MoveState::Candidate cand = state_.best_key(g_.edge(f), from);
     if (cand.to != kNoPartition) {
       heap_.update(f, cand.gain);
     } else {
@@ -114,7 +123,7 @@ class SerialRun {
   /// x's last edge in `a` (count 1) or its other edge in `b` (count 2)
   /// can. Every other edge in the heap is re-pushed at its current key,
   /// which keeps the heap's LIFO recency the same as a full recompute
-  /// would; one that is not in the heap gets a fresh best_move.
+  /// would; one that is not in the heap gets a fresh best_key.
   void reindex_around(VertexId x, PartitionId a, PartitionId b,
                       std::uint32_t pass, RefineResult& stats) {
     const std::uint32_t in_a = state_.count(x, a);
@@ -171,8 +180,11 @@ class SerialRun {
 
   /// Runs one pass; returns the number of SURVIVING moves.
   std::size_t run_pass(std::uint32_t pass, RefineResult& stats) {
+    const auto rebuild_start = std::chrono::steady_clock::now();
     rebuild_heap();
+    stats.rebuild_s += seconds_since(rebuild_start);
     ++stats.heap_rebuilds;
+    const auto walk_start = std::chrono::steady_clock::now();
     log_.clear();
     long long net = 0;
     long long best_net = 0;
@@ -190,7 +202,7 @@ class SerialRun {
       // state may have drifted under it (loads, neighbor replica sets).
       // Recompute, and if the truth differs, re-rank instead of applying.
       ++stats.reindexed;
-      const MoveState::Candidate cand = state_.best_move(edge, from, cap_);
+      const MoveState::Candidate cand = state_.best_key(edge, from);
       if (cand.to == kNoPartition) continue;  // nothing admissible anymore
       if (cand.gain != top.gain) {
         heap_.update(e, cand.gain);
@@ -209,19 +221,20 @@ class SerialRun {
       } else {
         escape_run = 0;
       }
-      const int applied = state_.apply(e, cand.to, partition_);
+      const PartitionId to = state_.target(edge, from, cand.gain);
+      const int applied = state_.apply(e, to, partition_);
       (void)applied;
       assert(applied == cand.gain);
       locked_[e] = pass;  // an edge moves at most once per pass
-      log_.push_back(MoveRecord{e, from, cand.to, cand.gain});
+      log_.push_back(MoveRecord{e, from, to, cand.gain});
       net += cand.gain;
       if (net > best_net) {
         best_net = net;
         best_len = log_.size();
       }
-      if (state_.load(from) + 1 == cap_) requeue(from, pass, stats);
-      reindex_around(edge.u, from, cand.to, pass, stats);
-      if (edge.u != edge.v) reindex_around(edge.v, from, cand.to, pass, stats);
+      if (state_.load(from) + 1 == state_.cap()) requeue(from, pass, stats);
+      reindex_around(edge.u, from, to, pass, stats);
+      if (edge.u != edge.v) reindex_around(edge.v, from, to, pass, stats);
     }
 
     // Rollback-to-best: undo everything past the best prefix, in reverse.
@@ -234,6 +247,7 @@ class SerialRun {
     }
     stats.moves += best_len;
     stats.replicas_removed += static_cast<std::size_t>(best_net);
+    stats.walk_s += seconds_since(walk_start);
     return best_len;
   }
 
@@ -253,7 +267,6 @@ class SerialRun {
   ScratchArena::Lease<std::int8_t> parked_gain_;
   std::vector<std::array<std::vector<EdgeId>, GainHeap::kNumBuckets>>
       parked_;
-  const EdgeId cap_;
   const EdgeId floor_;
   std::vector<MoveRecord> log_;
 };

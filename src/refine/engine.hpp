@@ -3,13 +3,14 @@
 // moves and rollback-to-best, on top of ANY edge partition.
 //
 // Each pass (docs/REFINEMENT.md):
-//   1. Full reindex: every assigned edge's best admissible move goes into
-//      the lazy-invalidation GainHeap (one heap rebuild per pass), and an
-//      edge whose best move the cap blocks is parked on that target.
-//   2. Pop the max-gain edge; recompute its best move against the CURRENT
+//   1. Full reindex: every assigned edge's best admissible gain goes into
+//      the lazy-invalidation GainHeap's base layer (one heap rebuild per
+//      pass, one byte per edge), and an edge whose best move the cap
+//      blocks is parked on that target.
+//   2. Pop the max-gain edge; recompute its best gain against the CURRENT
 //      state (loads and replica sets drift under it — the heap is a hint,
 //      the recompute is the truth). A changed gain is re-pushed, not
-//      applied.
+//      applied; an unchanged one picks its target (MoveState::target).
 //   3. Positive gain: apply and lock the edge for the pass (each edge
 //      moves at most once per pass — the FM discipline that prevents
 //      A->B->A thrash). Then rekey the edges at the moved endpoints by the
@@ -35,7 +36,7 @@
 // move or max_passes is hit.
 //
 // Balance is a hard ceiling: no move may push a partition above
-// slack * m / p (acceptor filter, enforced inside MoveState::best_move),
+// slack * m / p (acceptor filter, enforced inside MoveState's gain masks),
 // and escape moves additionally may not drain their source below the
 // mirror-image floor (donor filter) — a negative-gain walk never trades
 // balance for the hope of RF.
@@ -96,13 +97,17 @@ struct RefineResult {
   std::size_t rollbacks = 0;
   /// kGainHeap: full per-pass reindexes + in-heap compaction events.
   std::size_t heap_rebuilds = 0;
-  /// kGainHeap: best_move calls outside the pass-start rebuild: pop
+  /// kGainHeap: best_key calls outside the pass-start rebuild: pop
   /// revalidations, the post-move delta-gain reindex, and parked-edge
   /// requeues.
   std::size_t reindexed = 0;
   /// kGainHeap: parked edges re-evaluated because their partition dropped
   /// below the cap (each is also counted in `reindexed`).
   std::size_t requeued = 0;
+  /// kGainHeap: wall seconds in the pass-start reindexes, and in the rest
+  /// of the passes (pops, moves, rekeys, requeues, rollbacks).
+  double rebuild_s = 0.0;
+  double walk_s = 0.0;
 };
 
 namespace refine {

@@ -10,11 +10,13 @@
 //   gain = freed - created                  (in [-2, +2])
 //
 // Counts answer "freed" (is this the endpoint's LAST `from` edge?); the
-// bitset mirror answers "created" (does `to` already host the endpoint?)
-// and gives the candidate scan its word-parallel union walk: any move that
-// creates fewer replicas than it frees must target a partition already
-// hosting an endpoint, so candidates are exactly the set bits of
-// words(u) | words(v).
+// bitset mirror answers "created" (does `to` already host the endpoint?),
+// a whole word of targets at a time: with wu, wv the endpoints' replica
+// words, the targets creating no replica are wu & wv, those creating one
+// are wu ^ wv, and a bitset of the partitions at the load cap splits
+// each into admissible and blocked targets. Any move that creates fewer
+// replicas than it frees targets a partition already hosting an endpoint,
+// so candidates are exactly the set bits of words(u) | words(v).
 //
 // The counts live in one flat n x p slab width-packed to the graph's
 // maximum degree (the PackedDegreeArray idiom from core/residual.hpp): a
@@ -121,15 +123,18 @@ class MoveState {
  public:
   /// Builds counts/replicas/loads from the current assignment in one O(m)
   /// scan. Unassigned edges (kNoPartition) contribute nothing and are never
-  /// proposed for moves.
-  MoveState(const Graph& g, const EdgePartition& partition,
+  /// proposed for moves. `cap` is the load ceiling (cap_for): a partition
+  /// holding cap edges or more accepts no move.
+  MoveState(const Graph& g, const EdgePartition& partition, EdgeId cap,
             ScratchArena& arena)
       : g_(&g),
         p_(partition.num_partitions()),
+        cap_(cap),
         counts_(arena, g.num_vertices(), partition.num_partitions(),
                 max_degree(g)),
         replicas_(arena, g.num_vertices(), partition.num_partitions()),
-        loads_(arena.acquire<EdgeId>(partition.num_partitions(), 0)) {
+        loads_(arena.acquire<EdgeId>(partition.num_partitions(), 0)),
+        full_(arena.acquire<std::uint64_t>(replicas_.words_per_vertex(), 0)) {
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       const PartitionId k = partition.partition_of(e);
       if (k == kNoPartition) continue;
@@ -140,6 +145,7 @@ class MoveState {
       }
       ++loads_[k];
     }
+    for (PartitionId k = 0; k < p_; ++k) mark_full(k);
   }
 
   /// The balance ceiling shared by every engine (and the greedy oracle):
@@ -165,6 +171,7 @@ class MoveState {
   }
 
   [[nodiscard]] PartitionId num_partitions() const { return p_; }
+  [[nodiscard]] EdgeId cap() const { return cap_; }
   [[nodiscard]] EdgeId load(PartitionId k) const { return loads_[k]; }
   [[nodiscard]] std::uint32_t count(VertexId v, PartitionId k) const {
     return counts_.get(v, k);
@@ -206,47 +213,65 @@ class MoveState {
   /// gain > 0 needs created <= 1); the returned gain may still be <= 0 —
   /// escape-move callers want those, hill-climb callers filter. The same
   /// rule picks `blocked` among the targets at the cap.
-  [[nodiscard]] Candidate best_move(const Edge& edge, PartitionId from,
-                                    EdgeId cap) const {
+  [[nodiscard]] Candidate best_move(const Edge& edge, PartitionId from) const {
+    Candidate best = best_key(edge, from);
+    if (best.to != kNoPartition) best.to = target(edge, from, best.gain);
+    return best;
+  }
+
+  /// best_move without the tie-break among admissible targets: the same
+  /// gain, blocked and blocked_gain, but `to` is only the lowest-id
+  /// admissible target at that gain (kNoPartition when none is). This is
+  /// what keys an edge in the gain heap; target() picks the move itself.
+  ///
+  /// Targets come in four masks, word by word: created 0 (both endpoints
+  /// already there) or created 1 (exactly one), each split by the cap into
+  /// admissible and blocked. The gain is freed - created of the best
+  /// non-empty admissible mask; a blocked target is reported only when it
+  /// beats that, which takes a blocked created-0 target over an admissible
+  /// created-1 one, or any blocked target when nothing is admissible.
+  [[nodiscard]] Candidate best_key(const Edge& edge, PartitionId from) const {
+    // Per created count (0, 1): the first word holding an admissible
+    // target and its index, and the union of the blocked targets.
+    std::uint64_t open[2] = {0, 0};
+    std::size_t at[2] = {0, 0};
+    std::uint64_t shut[2] = {0, 0};
+    for (std::size_t w = 0; w < replicas_.words_per_vertex(); ++w) {
+      const Targets t = targets(edge, from, w);
+      if (open[0] == 0) {
+        open[0] = t.both & ~full_[w];
+        at[0] = w;
+      }
+      if (open[1] == 0) {
+        open[1] = t.one & ~full_[w];
+        at[1] = w;
+      }
+      shut[0] |= t.both & full_[w];
+      shut[1] |= t.one & full_[w];
+    }
     Candidate best;
     const int freed_here = freed(edge, from);
-    const std::uint64_t* wu = replicas_.words(edge.u);
-    const std::uint64_t* wv = replicas_.words(edge.v);
-    const bool loop = edge.u == edge.v;
-    const auto beats = [&](PartitionId to, int g, PartitionId incumbent,
-                           int incumbent_gain) {
-      // Ascending scan: the strict lexicographic compare keeps the
-      // lowest id among full ties automatically.
-      return incumbent == kNoPartition || g > incumbent_gain ||
-             (g == incumbent_gain &&
-              (loads_[to] < loads_[incumbent] ||
-               (loads_[to] == loads_[incumbent] && to < incumbent)));
-    };
-    for (std::size_t w = 0; w < replicas_.words_per_vertex(); ++w) {
-      std::uint64_t bits = wu[w] | wv[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const auto to = static_cast<PartitionId>(w * 64 + b);
-        if (to == from) continue;
-        const int created = (((wu[w] >> b) & 1ULL) != 0 ? 0 : 1) +
-                            (!loop && ((wv[w] >> b) & 1ULL) == 0 ? 1 : 0);
-        const int g = freed_here - created;
-        if (loads_[to] + 1 > cap) {
-          if (beats(to, g, best.blocked, best.blocked_gain)) {
-            best.blocked = to;
-            best.blocked_gain = g;
-          }
-        } else if (beats(to, g, best.to, best.gain)) {
-          best.to = to;
-          best.gain = g;
-        }
+    const int created = open[0] != 0 ? 0 : 1;
+    if (open[created] != 0) {
+      best.to = lowest(at[created], open[created]);
+      best.gain = freed_here - created;
+    }
+    if ((shut[0] | shut[1]) != 0) {
+      const bool movable = best.to != kNoPartition;
+      if (shut[0] != 0 && (!movable || created == 1)) {
+        block(best, edge, from, freed_here, 0);
+      } else if (shut[1] != 0 && !movable) {
+        block(best, edge, from, freed_here, 1);
       }
     }
-    if (best.to != kNoPartition && best.blocked_gain <= best.gain) {
-      best.blocked = kNoPartition;
-    }
     return best;
+  }
+
+  /// The admissible target of e's move out of `from` at `gain` (a gain
+  /// best_key reported): the lightest such partition, then the lowest id.
+  [[nodiscard]] PartitionId target(const Edge& edge, PartitionId from,
+                                   int gain) const {
+    return pick(edge, from, freed(edge, from) - gain, /*blocked=*/false);
   }
 
   /// Migrates e from its current partition to `to`, updating counts,
@@ -276,10 +301,70 @@ class MoveState {
     partition.assign(e, to);
     --loads_[from];
     ++loads_[to];
+    mark_full(from);
+    mark_full(to);
     return delta;
   }
 
  private:
+  /// The candidate targets of e out of `from` in replica word w, by the
+  /// replicas the move creates: none (both) or one (one). A self-loop
+  /// needs no case of its own: wu == wv gives both = wu and one = 0.
+  struct Targets {
+    std::uint64_t both;
+    std::uint64_t one;
+  };
+
+  [[nodiscard]] Targets targets(const Edge& edge, PartitionId from,
+                                std::size_t w) const {
+    const std::uint64_t wu = replicas_.words(edge.u)[w];
+    const std::uint64_t wv = replicas_.words(edge.v)[w];
+    const std::uint64_t away =
+        w == from / 64 ? ~(std::uint64_t{1} << (from % 64)) : ~std::uint64_t{0};
+    return Targets{wu & wv & away, (wu ^ wv) & away};
+  }
+
+  [[nodiscard]] static PartitionId lowest(std::size_t w, std::uint64_t bits) {
+    return static_cast<PartitionId>(w * 64 +
+                                    static_cast<std::size_t>(
+                                        std::countr_zero(bits)));
+  }
+
+  /// The lightest (then lowest-id) target creating `created` replicas
+  /// among the admissible or the blocked ones; kNoPartition if none.
+  [[nodiscard]] PartitionId pick(const Edge& edge, PartitionId from,
+                                 int created, bool blocked) const {
+    PartitionId best = kNoPartition;
+    for (std::size_t w = 0; w < replicas_.words_per_vertex(); ++w) {
+      const Targets t = targets(edge, from, w);
+      std::uint64_t bits = (created == 0 ? t.both : t.one) &
+                           (blocked ? full_[w] : ~full_[w]);
+      while (bits != 0) {
+        const PartitionId to = lowest(w, bits);
+        bits &= bits - 1;
+        // Ascending scan: a strict compare keeps the lowest id on ties.
+        if (best == kNoPartition || loads_[to] < loads_[best]) best = to;
+      }
+    }
+    return best;
+  }
+
+  void block(Candidate& best, const Edge& edge, PartitionId from,
+             int freed_here, int created) const {
+    best.blocked = pick(edge, from, created, /*blocked=*/true);
+    best.blocked_gain = freed_here - created;
+  }
+
+  /// Sets k's bit in full_ iff k is at or above the cap.
+  void mark_full(PartitionId k) {
+    const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+    if (loads_[k] >= cap_) {
+      full_[k / 64] |= bit;
+    } else {
+      full_[k / 64] &= ~bit;
+    }
+  }
+
   [[nodiscard]] static std::size_t max_degree(const Graph& g) {
     std::size_t best = 0;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -290,9 +375,12 @@ class MoveState {
 
   const Graph* g_;
   PartitionId p_;
+  EdgeId cap_;
   IncidenceCounts counts_;
   ReplicaSetPool replicas_;
   ScratchArena::Lease<EdgeId> loads_;
+  /// Bit k set iff load(k) >= cap: the partitions no move may enter.
+  ScratchArena::Lease<std::uint64_t> full_;
 };
 
 }  // namespace tlp::refine

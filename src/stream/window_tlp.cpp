@@ -222,6 +222,7 @@ class WindowRun {
   /// left memory, which is the windowing approximation of Eq. 7's static
   /// N(v) (documented in DESIGN.md).
   void join(VertexId v) {
+    assert(!is_member(v));
     if (frontier_.contains(v)) frontier_.remove(v);
     member_round_[v] = round_;
     const std::uint32_t deg_at_join =
@@ -265,7 +266,12 @@ class WindowRun {
 
     while (e_in_ < capacity) {
       if (frontier_.empty()) {
-        if (buffer_.live_edges() == 0) refill();
+        if (buffer_.live_edges() == 0) {
+          refill();
+          // Fresh edges at a member made candidates: grow from those. A
+          // reseed could pick a member itself, which must not join twice.
+          if (!frontier_.empty()) continue;
+        }
         const VertexId seed = buffer_.any_live_vertex();
         if (seed == kInvalidVertex) break;  // stream + buffer exhausted
         ++stats_.reseeds;

@@ -238,7 +238,20 @@ TEST(RefineEngine, TelemetryKeysAlwaysPresent) {
       EXPECT_TRUE(counters.contains(key))
           << key << " missing for engine " << static_cast<int>(engine);
     }
-    EXPECT_GT(ctx.telemetry().timers().at("refine_s"), 0.0);
+    const auto& timers = ctx.telemetry().timers();
+    EXPECT_GT(timers.at("refine_s"), 0.0);
+    // The gain-heap engine's phase split; 0 on the greedy engine.
+    for (const char* key : {"refine_rebuild_s", "refine_walk_s"}) {
+      ASSERT_TRUE(timers.contains(key))
+          << key << " missing for engine " << static_cast<int>(engine);
+      if (engine == RefineEngine::kGreedy) {
+        EXPECT_EQ(timers.at(key), 0.0) << key;
+      } else {
+        EXPECT_GT(timers.at(key), 0.0) << key;
+      }
+    }
+    EXPECT_LE(timers.at("refine_rebuild_s") + timers.at("refine_walk_s"),
+              timers.at("refine_s"));
   }
 }
 

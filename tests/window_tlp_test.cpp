@@ -105,6 +105,24 @@ TEST(WindowTlp, TinyWindowStillCoversEverything) {
   EXPECT_TRUE(validate(g, part, config).ok());
 }
 
+TEST(WindowTlp, RefillAtAMemberGrowsFromTheFrontier) {
+  // A one-edge window over a path: after 0 and 1 join partition 0, the
+  // window is empty and the refill brings (1, 2), which makes 2 a
+  // candidate. The round must grow from 2, not reseed — a reseed picks a
+  // live edge's endpoint, here member 1, which would join a second time
+  // and count 2's connection twice.
+  VectorEdgeStream source({{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}},
+                          7);
+  WindowTlpOptions options;
+  options.window_capacity = 1;
+  WindowStats stats;
+  const auto assignment = WindowTlpPartitioner{options}.partition_stream(
+      source, config_for(2), &stats);
+  EXPECT_EQ(stats.reseeds, 1u);
+  const std::vector<PartitionId> expected = {0, 0, 0, 1, 1, 1};
+  EXPECT_EQ(assignment, expected);
+}
+
 TEST(WindowTlp, LargeWindowApproachesTlpQuality) {
   const Graph g = gen::sbm(800, 6400, 16, 0.9, 10);
   const auto config = config_for(8);

@@ -2,8 +2,8 @@
 # Tier-1 verification plus a sanitizer pass.
 #
 #   tools/check.sh            # docs link check, tier-1 build + ctest, then
-#                             # ASan and UBSan test runs, then the Release
-#                             # smokes
+#                             # ASan (Debug, asserts on) and UBSan test
+#                             # runs, then the Release smokes
 #   tools/check.sh --fast     # link check + tier-1 only (skip sanitizers +
 #                             # Release smokes)
 #
@@ -57,7 +57,10 @@ if [ "${1:-}" = "--fast" ]; then
 fi
 
 # Sanitizer passes: tests only (benches/examples just slow these down).
-run_suite build-asan -DTLP_SANITIZE=address \
+# The ASan leg is a Debug build, the one leg without NDEBUG, so the
+# assert-guarded invariants (frontier counts, heap and gain bookkeeping)
+# run somewhere.
+run_suite build-asan -DTLP_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
 run_suite build-ubsan -DTLP_SANITIZE=undefined \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
