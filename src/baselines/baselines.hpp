@@ -8,12 +8,17 @@
 // on its class (docs/API.md lists the full telemetry schema).
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "partition/partitioner.hpp"
 
 namespace tlp::baselines {
+
+/// Edges a streaming partitioner (greedy, hdrf) places between two polls
+/// of the run's cancel token and deadline.
+inline constexpr std::size_t kCancelPollEdges = 4096;
 
 /// How streaming partitioners traverse the edge set.
 enum class StreamMode {

@@ -44,7 +44,9 @@ EdgePartition GreedyPartitioner::do_partition(const Graph& g,
   std::size_t case_single = 0;
   std::size_t case_fresh = 0;
 
+  std::size_t streamed = 0;
   for (const EdgeId e : *order) {
+    if (++streamed % kCancelPollEdges == 0) ctx.check_cancelled();
     const Edge& edge = g.edge(e);
     const bool u_placed = !replicas.empty(edge.u);
     const bool v_placed = !replicas.empty(edge.v);

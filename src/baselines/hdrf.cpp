@@ -24,7 +24,9 @@ EdgePartition HdrfPartitioner::do_partition(const Graph& g,
   }
 
   constexpr double kEps = 1e-9;
+  std::size_t streamed = 0;
   for (const EdgeId e : *order) {
+    if (++streamed % kCancelPollEdges == 0) ctx.check_cancelled();
     const Edge& edge = g.edge(e);
     // Partial degrees as in the HDRF paper; using final degrees (available
     // here since the whole graph is known) is the common offline variant.

@@ -25,15 +25,13 @@ bool better_fraction(std::uint64_t a1, std::uint64_t b1, std::uint64_t a2,
 Frontier::Frontier()
     : own_arena_(std::make_unique<ScratchArena>()),
       arena_(own_arena_.get()),
-      cand_(arena_->acquire<Candidate>(0)),
-      stamp_(arena_->acquire<std::uint32_t>(0)),
+      slots_(arena_->acquire<Slot>(0)),
       stage1_heap_(arena_->acquire<HeapEntry>(0)),
       touched_(arena_->acquire<Touch>(0)) {}
 
 Frontier::Frontier(ScratchArena& arena, VertexId num_vertices)
     : arena_(&arena),
-      cand_(arena_->acquire<Candidate>(num_vertices)),
-      stamp_(arena_->acquire<std::uint32_t>(num_vertices, 0)),
+      slots_(arena_->acquire<Slot>(num_vertices)),
       stage1_heap_(arena_->acquire<HeapEntry>(0)),
       touched_(arena_->acquire<Touch>(0)) {}
 
@@ -47,19 +45,17 @@ void Frontier::clear() {
   live_ = Live::kBoth;
   touched_->clear();
   if (++epoch_ == 0) {
-    // A wrapped epoch could resurrect prehistoric stamps; re-zero and
+    // A wrapped epoch could resurrect prehistoric tags; re-zero both and
     // restart. Unreachable in practice (2^32 - 1 rounds on one frontier).
-    std::fill(stamp_->begin(), stamp_->end(), 0u);
+    std::fill(slots_->begin(), slots_->end(), Slot{});
     epoch_ = 1;
   }
 }
 
 void Frontier::grow_to(std::size_t n) {
-  // Amortized doubling keeps on-demand growth O(1) per insert; resize()
-  // value-initializes the new stamps to 0 (= never live).
-  const std::size_t target = std::max(n, stamp_->size() * 2);
-  stamp_->resize(target, 0u);
-  cand_->resize(target);
+  // Amortized doubling keeps on-demand growth O(1) per insert; the new
+  // slots' tags are 0 (= never live).
+  slots_->resize(std::max(n, slots_->size() * 2));
 }
 
 void Frontier::bucket_push(std::uint32_t c, std::uint32_t rdeg, VertexId v) {
@@ -78,7 +74,7 @@ VertexId Frontier::stage1_top() {
   auto& heap = *stage1_heap_;
   while (!heap.empty()) {
     const HeapEntry top = heap.front();
-    if (contains(top.vertex) && (*cand_)[top.vertex].mu1 == top.mu1) {
+    if (contains(top.vertex) && (*slots_)[top.vertex].cand.mu1 == top.mu1) {
       return top.vertex;
     }
     // Stale: vertex joined or its μs1 changed since push.
@@ -93,7 +89,9 @@ VertexId Frontier::select_stage2(EdgeId e_in, EdgeId e_out) {
     // Candidates untouched since the last switch still have their live
     // ladder entry; each touched one gets the entry of its current c.
     for (const Touch& t : *touched_) {
-      if (touch_live(t)) bucket_push(t.c, (*cand_)[t.vertex].rdeg, t.vertex);
+      if (touch_live(t)) {
+        bucket_push(t.c, (*slots_)[t.vertex].cand.rdeg, t.vertex);
+      }
     }
     switched();
   }

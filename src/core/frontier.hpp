@@ -42,23 +42,29 @@
 //
 // Hot-path memory layout (this is the single hottest structure in the
 // system, so none of it chases pointers):
-//  * Candidates live in a DENSE per-vertex array (`Candidate cand_[n]`)
-//    paired with an epoch stamp per slot: slot v is live iff
-//    stamp_[v] == epoch_. contains()/connections()/add_connection() are an
-//    O(1) stamp check plus an array index — no hashing, no node allocation.
-//    clear() is an epoch bump (plus resetting the selection storage), not an
+//  * Every vertex has ONE 24-byte hot record (`Slot slots_[n]`): two epoch
+//    tags, then the candidate state (c, rdeg, μs1). v is a candidate iff
+//    its `stamp` equals epoch_, and a member of the round's partition iff
+//    its `member` tag does. A growth join asks both questions of every
+//    neighbour and then updates the same neighbour's candidate state, so
+//    one slot (one or two cache lines, which a caller can prefetch ahead
+//    of the join's loop) answers everything the frontier knows about it.
+//    The tags lead the slot, so the 8 bytes is_member()/contains() read
+//    never straddle a cache line. Neither question hashes or allocates,
+//    and clear() is an epoch bump (plus resetting the selection storage)
+//    that ends every candidacy and every membership at once, not an
 //    O(|frontier|) teardown.
 //  * Stage-2 buckets form a FLAT LADDER indexed by c - 1 with a high-water
 //    mark: c is small and dense (it grows by 1 per neighboring join), so a
 //    vector of buckets replaces the former std::map<c, Bucket>. Drained
 //    buckets keep their storage for the next round instead of being erased.
-//  * The stage-1 heap, the bucket ladder's heaps, the touched list and both
-//    dense arrays are leased from a ScratchArena, so a frontier constructed
+//  * The stage-1 heap, the bucket ladder's heaps, the touched list and the
+//    slot array are leased from a ScratchArena, so a frontier constructed
 //    from a RunContext's arena stops allocating after warm-up: the
 //    join/select path is allocation-free from the second run onward.
-// A default-constructed Frontier owns a private arena and grows its dense
-// arrays on demand (tests, one-off use); pass the vertex count up front to
-// pre-size them.
+// A default-constructed Frontier owns a private arena and grows its slot
+// array on demand (tests, one-off use); pass the vertex count up front to
+// pre-size it.
 #pragma once
 
 #include <algorithm>
@@ -70,6 +76,7 @@
 
 #include "graph/types.hpp"
 #include "partition/run_context.hpp"
+#include "util/simd.hpp"
 
 namespace tlp {
 
@@ -85,25 +92,53 @@ class Frontier {
   Frontier();
   /// Frontier whose storage is leased from `arena` — pass the RunContext's
   /// arena so repeated runs reuse capacity. `num_vertices` pre-sizes the
-  /// dense candidate array (0 = grow on demand, used by callers that track
-  /// only a sparse region per partition). The arena must outlive the
-  /// frontier.
+  /// slot array (0 = grow on demand, used by callers that track only a
+  /// sparse region per partition). The arena must outlive the frontier.
   explicit Frontier(ScratchArena& arena, VertexId num_vertices = 0);
 
-  /// Removes all candidates (start of a new round). O(high-water c), not
-  /// O(|frontier|): live slots are invalidated by bumping the epoch.
+  /// Removes all candidates and ends every membership (start of a new
+  /// round). O(high-water c), not O(|frontier|): both tags of every slot
+  /// are invalidated by bumping the epoch.
   void clear();
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool contains(VertexId v) const {
-    return v < stamp_->size() && (*stamp_)[v] == epoch_;
+    return v < slots_->size() && (*slots_)[v].stamp == epoch_;
+  }
+
+  /// True iff v joined the partition since the last clear().
+  [[nodiscard]] bool is_member(VertexId v) const {
+    return v < slots_->size() && (*slots_)[v].member == epoch_;
+  }
+
+  /// Makes v a member of the partition (it joins): drops it as a candidate
+  /// if it is one. A member is never a candidate again until clear().
+  void add_member(VertexId v) {
+    ensure_slot(v);
+    Slot& slot = (*slots_)[v];
+    if (slot.stamp == epoch_) {
+      slot.stamp = 0;
+      --size_;
+    }
+    slot.member = epoch_;
+  }
+
+  /// Hints that v's slot is about to be read: a join can issue this for
+  /// every neighbour before its loop, so their cache misses overlap. Both
+  /// ends of the 24-byte slot are hinted, since one slot in four spans two
+  /// cache lines. A vertex past the slot array is ignored.
+  void prefetch(VertexId v) const {
+    if (v >= slots_->size()) return;
+    const char* const slot = reinterpret_cast<const char*>(slots_->data() + v);
+    simd::prefetch_read(slot);
+    simd::prefetch_read(slot + sizeof(Slot) - 1);
   }
 
   /// Current state of candidate v. Precondition: contains(v).
   [[nodiscard]] const Candidate& at(VertexId v) const {
     assert(contains(v));
-    return (*cand_)[v];
+    return (*slots_)[v].cand;
   }
 
   /// Residual connections of candidate v to the current partition (c_v).
@@ -118,13 +153,13 @@ class Frontier {
   /// running max. While Stage II is live u's μs1 is left stale, so a caller
   /// of this overload selects Stage I through the rescoring
   /// select_stage1(rescore). Inserts u (with frozen residual degree
-  /// `residual_degree`) if new.
+  /// `residual_degree`) if new. Precondition: !is_member(u).
   template <typename ScoreFn>
   void add_connection(VertexId u, std::uint32_t residual_degree,
                       double score_bound, ScoreFn&& score_fn) {
     const bool fresh = connect(u, residual_degree);
     if (live_ == Live::kStage2) return;  // μs1 is rescored on the switch
-    Candidate& cand = (*cand_)[u];
+    Candidate& cand = (*slots_)[u].cand;
     if (fresh) {
       cand.mu1 = score_fn();
       stage1_push(cand.mu1, u);
@@ -144,7 +179,7 @@ class Frontier {
   void add_connection(VertexId u, std::uint32_t residual_degree,
                       double score_term) {
     const bool fresh = connect(u, residual_degree);
-    Candidate& cand = (*cand_)[u];
+    Candidate& cand = (*slots_)[u].cand;
     if (!fresh && score_term <= cand.mu1) return;
     cand.mu1 = score_term;
     if (live_ != Live::kStage2) stage1_push(score_term, u);
@@ -154,13 +189,15 @@ class Frontier {
   /// exact values — unlike add_connection, c/rdeg/μs1 may all move in any
   /// direction here (another partition claimed some of v's edges). Heap
   /// entries are only pushed for keys that actually changed — an unchanged
-  /// key already has a live entry.
+  /// key already has a live entry. Precondition: !is_member(v).
   void upsert(VertexId v, std::uint32_t c, std::uint32_t rdeg, double mu1) {
     ensure_slot(v);
-    Candidate& cand = (*cand_)[v];
-    const bool fresh = (*stamp_)[v] != epoch_;
+    Slot& slot = (*slots_)[v];
+    assert(slot.member != epoch_);
+    Candidate& cand = slot.cand;
+    const bool fresh = slot.stamp != epoch_;
     if (fresh) {
-      (*stamp_)[v] = epoch_;
+      slot.stamp = epoch_;
       ++size_;
     }
     const bool push_stage1 = fresh || cand.mu1 != mu1;
@@ -183,7 +220,7 @@ class Frontier {
   /// No-op when v is not a candidate.
   void remove(VertexId v) {
     if (!contains(v)) return;
-    (*stamp_)[v] = 0;
+    (*slots_)[v].stamp = 0;
     --size_;
     // Heap and bucket entries become stale and are skipped lazily.
   }
@@ -198,7 +235,7 @@ class Frontier {
     if (live_ == Live::kStage2) {
       for (const Touch& t : *touched_) {
         if (!touch_live(t)) continue;
-        Candidate& cand = (*cand_)[t.vertex];
+        Candidate& cand = (*slots_)[t.vertex].cand;
         cand.mu1 = rescore(t.vertex);
         stage1_push(cand.mu1, t.vertex);
       }
@@ -211,7 +248,8 @@ class Frontier {
   /// Stage-I selection for callers whose stored μs1 is always exact (the
   /// value overload of add_connection, upsert).
   [[nodiscard]] VertexId select_stage1() {
-    return select_stage1([this](VertexId v) { return (*cand_)[v].mu1; });
+    return select_stage1(
+        [this](VertexId v) { return (*slots_)[v].cand.mu1; });
   }
 
   /// Stage-II selection: argmax M' = (e_in + c)/(e_out + r - 2c); an empty
@@ -226,6 +264,9 @@ class Frontier {
   [[nodiscard]] std::size_t stage_switches() const { return switches_; }
 
  private:
+  /// Tests drive the epoch to its wrap without 2^32 clears.
+  friend struct FrontierTestPeer;
+
   struct HeapEntry {
     double mu1;
     VertexId vertex;
@@ -255,14 +296,21 @@ class Frontier {
   std::unique_ptr<ScratchArena> own_arena_;
   ScratchArena* arena_;
 
-  /// Dense per-vertex candidate slots; slot v is live iff
-  /// stamp_[v] == epoch_ (0 is never a valid epoch).
-  ScratchArena::Lease<Candidate> cand_;
-  ScratchArena::Lease<std::uint32_t> stamp_;
+  /// A vertex's hot record. The tags come first, so the bytes both
+  /// membership questions read share one cache line.
+  struct Slot {
+    std::uint32_t stamp = 0;   ///< a candidate iff == epoch_
+    std::uint32_t member = 0;  ///< a member iff == epoch_
+    Candidate cand;
+  };
+  static_assert(sizeof(Slot) == 24);
+
+  /// Dense per-vertex slots (0 is never a valid epoch).
+  ScratchArena::Lease<Slot> slots_;
   std::uint32_t epoch_ = 1;
   std::size_t size_ = 0;
 
-  /// Lazy max-heap for Stage I; entries are validated against cand_.
+  /// Lazy max-heap for Stage I; entries are validated against the slots.
   ScratchArena::Lease<HeapEntry> stage1_heap_;
   /// Flat Stage-II bucket ladder: ladder_[c - 1] holds connection count c.
   /// Slots up to hwm_c_ may hold entries this round; drained buckets keep
@@ -275,10 +323,10 @@ class Frontier {
   ScratchArena::Lease<Touch> touched_;
   std::size_t switches_ = 0;
 
-  /// Grows the dense arrays to cover vertex v (amortized doubling; no-op on
+  /// Grows the slot array to cover vertex v (amortized doubling; no-op on
   /// the pre-sized fast path).
   void ensure_slot(VertexId v) {
-    if (static_cast<std::size_t>(v) < stamp_->size()) return;
+    if (static_cast<std::size_t>(v) < slots_->size()) return;
     grow_to(static_cast<std::size_t>(v) + 1);
   }
   void grow_to(std::size_t n);
@@ -288,10 +336,12 @@ class Frontier {
   /// Returns true iff u is new this round.
   bool connect(VertexId u, std::uint32_t residual_degree) {
     ensure_slot(u);
-    Candidate& cand = (*cand_)[u];
-    const bool fresh = (*stamp_)[u] != epoch_;
+    Slot& slot = (*slots_)[u];
+    assert(slot.member != epoch_);
+    Candidate& cand = slot.cand;
+    const bool fresh = slot.stamp != epoch_;
     if (fresh) {
-      (*stamp_)[u] = epoch_;
+      slot.stamp = epoch_;
       ++size_;
       cand.c = 1;
       cand.rdeg = residual_degree;
@@ -311,7 +361,7 @@ class Frontier {
   /// True iff t is its candidate's latest record: still a candidate, and
   /// no connection since.
   [[nodiscard]] bool touch_live(const Touch& t) const {
-    return contains(t.vertex) && (*cand_)[t.vertex].c == t.c;
+    return contains(t.vertex) && (*slots_)[t.vertex].cand.c == t.c;
   }
 
   /// Ends a switch: the dormant index is now current.
@@ -332,7 +382,7 @@ class Frontier {
   [[nodiscard]] bool bucket_entry_live(
       std::uint32_t c, const std::pair<std::uint32_t, VertexId>& entry) const {
     if (!contains(entry.second)) return false;
-    const Candidate& cand = (*cand_)[entry.second];
+    const Candidate& cand = (*slots_)[entry.second].cand;
     return cand.c == c && cand.rdeg == entry.first;
   }
 };

@@ -58,8 +58,6 @@ class GrowthRun {
         residual_(g, ctx.arena()),
         partition_(config.num_partitions, g.num_edges()),
         frontier_(ctx.arena(), g.num_vertices()),
-        member_round_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(),
-                                                         kNoRound)),
         scorer_(g, ctx.arena()),
         seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())) {
     // A fixed random permutation provides the paper's "select vertex x from
@@ -92,13 +90,7 @@ class GrowthRun {
   }
 
  private:
-  static constexpr std::uint32_t kNoRound =
-      std::numeric_limits<std::uint32_t>::max();
   static constexpr std::size_t kCancelPollJoins = 4096;
-
-  [[nodiscard]] bool is_member(VertexId v) const {
-    return member_round_[v] == current_round_;
-  }
 
   /// Next seed vertex with residual edges, or kInvalidVertex if exhausted.
   /// Only called when the frontier is empty, which implies no current member
@@ -108,7 +100,7 @@ class GrowthRun {
     while (seed_cursor_ < seed_order_->size()) {
       const VertexId v = (*seed_order_)[seed_cursor_];
       if (residual_.residual_degree(v) > 0) {
-        assert(!is_member(v));
+        assert(!frontier_.is_member(v));
         return v;
       }
       ++seed_cursor_;
@@ -124,16 +116,26 @@ class GrowthRun {
   /// comes from the shared Stage-I scorer, and only when the bound beats
   /// u's running μs1. The scorer sets N(v)'s bits on the first such term
   /// and clears them when the join's scope ends.
+  ///
+  /// The loop reads, for each neighbour u, u's frontier slot (member?
+  /// candidate? its c, r, μs1) and its degree: random accesses into
+  /// n-sized arrays. One pass first hints both for every neighbour, so the
+  /// misses of all of N(v) overlap instead of being taken one neighbour at
+  /// a time.
   void join(VertexId v, PartitionId k) {
-    frontier_.remove(v);  // no-op for seeds
-    member_round_[v] = current_round_;
+    frontier_.add_member(v);
 
     const std::size_t dv = g_.degree(v);
+    const auto neighbors = g_.neighbors(v);
+    for (const Neighbor& nb : neighbors) {
+      frontier_.prefetch(nb.vertex);
+      g_.prefetch_degree(nb.vertex);
+    }
     Stage1Scorer::Join scores(scorer_, v);
-    for (const Neighbor& nb : g_.neighbors(v)) {
+    for (const Neighbor& nb : neighbors) {
       if (residual_.is_assigned(nb.edge)) continue;
       const VertexId u = nb.vertex;
-      if (is_member(u)) {
+      if (frontier_.is_member(u)) {
         residual_.mark_assigned(nb.edge, v, u);
         partition_.assign(nb.edge, k);
         ++e_in_;
@@ -163,7 +165,9 @@ class GrowthRun {
     const std::size_t du = g_.degree(u);
     double best = 0.0;
     for (const Neighbor& nb : g_.neighbors(u)) {
-      if (residual_.is_assigned(nb.edge) || !is_member(nb.vertex)) continue;
+      if (residual_.is_assigned(nb.edge) || !frontier_.is_member(nb.vertex)) {
+        continue;
+      }
       const std::size_t dv = g_.degree(nb.vertex);
       const auto den = static_cast<double>(dv);
       if (static_cast<double>(std::min(du, dv)) / den <= best) continue;
@@ -188,7 +192,6 @@ class GrowthRun {
   }
 
   void grow_partition(PartitionId k, EdgeId round_capacity) {
-    current_round_ = k;
     frontier_.clear();
     e_in_ = 0;
     e_out_ = 0;
@@ -303,8 +306,6 @@ class GrowthRun {
   ResidualState residual_;
   EdgePartition partition_;
   Frontier frontier_;
-  ScratchArena::Lease<std::uint32_t> member_round_;
-  std::uint32_t current_round_ = kNoRound;
   EdgeId e_in_ = 0;   ///< |E(P_k)| of the partition being grown
   EdgeId e_out_ = 0;  ///< residual external edges of the current partition
 

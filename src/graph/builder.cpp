@@ -226,6 +226,8 @@ void RelabelTable::grow() {
     while (next[i] != kEmptySlot) i = (i + 1) & mask;
     next[i] = slot;
   }
+  peak_bytes_ = std::max(peak_bytes_, (slots_.size() + next.size()) *
+                                          sizeof(std::uint64_t));
   slots_.swap(next);
   log2_slots_ = log2;
 }
@@ -234,6 +236,7 @@ void RelabelTable::clear() {
   release(slots_);
   log2_slots_ = 0;
   size_ = 0;
+  peak_bytes_ = 0;
 }
 
 GraphBuilder::GraphBuilder(bool relabel)
@@ -420,6 +423,7 @@ Graph GraphBuilder::build(BuildReport* report) {
   local.build_peak_bytes =
       edges_.capacity() * sizeof(Edge) + (n + 1) * sizeof(std::size_t) +
       2 * m * (sizeof(Neighbor) + sizeof(VertexId)) + m * sizeof(Edge);
+  local.relabel_peak_bytes = relabel_table_.peak_bytes();
   relabel_table_.clear();
   Graph g = Graph::from_edges(n, std::move(edges_));
   if (storage_.tier != StorageTier::kInMemory) {
@@ -452,6 +456,7 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
 
   // Every id is final: the relabel table has nothing left to answer.
   const VertexId n = relabel_ ? relabel_table_.size() : max_id_plus_one_;
+  local.relabel_peak_bytes = relabel_table_.peak_bytes();
   relabel_table_.clear();
   const std::size_t run_buffers =
       runs_.size() * (std::size_t{1} << 14);  // EdgeRunReader staging

@@ -40,7 +40,13 @@ struct BuildReport {
   std::size_t kept_edges = 0;        ///< edges in the final graph
   bool relabeled = false;            ///< true if vertex ids were compacted
   std::size_t spill_runs = 0;        ///< sorted run files written (0 = none)
-  std::size_t build_peak_bytes = 0;  ///< peak heap bytes the builder owned
+  /// Peak heap bytes of the builder's edge buffers: the in-memory
+  /// regime's edge list and CSR, the external regime's chunk, merge and
+  /// reverse buffers. The relabel table is not among them.
+  std::size_t build_peak_bytes = 0;
+  /// Peak heap bytes of the relabel table (0 without relabelling),
+  /// counting both tables while a doubling copies.
+  std::size_t relabel_peak_bytes = 0;
 };
 
 /// Raw-id -> dense-id map of the relabelling builder: a flat open-addressing
@@ -58,6 +64,9 @@ class RelabelTable {
   [[nodiscard]] VertexId size() const { return size_; }
   /// Slot count (0 or a power of two >= 16).
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// Most bytes the slots have held at once since construction or clear():
+  /// during a doubling, the old and the new table.
+  [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
   /// Forgets every id and releases the slots.
   void clear();
 
@@ -72,6 +81,7 @@ class RelabelTable {
   std::vector<std::uint64_t> slots_;
   unsigned log2_slots_ = 0;
   VertexId size_ = 0;
+  std::size_t peak_bytes_ = 0;
 };
 
 /// Accumulates edges and produces an immutable Graph (or a TLPC file).
@@ -104,7 +114,9 @@ class GraphBuilder {
   /// Caps the builder's working set. 0 (default) = unbounded in-memory
   /// build; any positive value switches to the external-memory regime with
   /// chunk/merge buffers sized to the budget. Must be called before the
-  /// first add_edge.
+  /// first add_edge. The budget bounds only the chunk, merge and reverse
+  /// buffers: with relabelling on, the relabel table (16-32 bytes per
+  /// distinct id, BuildReport::relabel_peak_bytes) comes on top of it.
   void set_memory_budget(std::size_t bytes);
   [[nodiscard]] std::size_t memory_budget() const { return budget_; }
 

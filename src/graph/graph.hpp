@@ -23,6 +23,7 @@
 #include "graph/edge.hpp"
 #include "graph/storage.hpp"
 #include "graph/types.hpp"
+#include "util/simd.hpp"
 
 namespace tlp {
 
@@ -79,6 +80,12 @@ class Graph {
   [[nodiscard]] std::size_t degree(VertexId v) const {
     assert(v < view_.num_vertices);
     return view_.offsets[v + 1] - view_.offsets[v];
+  }
+
+  /// Hints that degree(v) (or neighbors(v)) is about to be read: the
+  /// offsets entry is the first load of either. Never faults.
+  void prefetch_degree(VertexId v) const {
+    simd::prefetch_read(view_.offsets + v);
   }
 
   /// Average degree 2m/n (0 for the empty graph).

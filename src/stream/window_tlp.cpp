@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -113,8 +112,6 @@ class WindowRun {
         buffer_(source.num_vertices(), ctx.arena()),
         assignment_(static_cast<std::size_t>(source.total_edges()),
                     kNoPartition),
-        member_round_(ctx.arena().acquire<std::uint32_t>(
-            source.num_vertices(), kNoRound)),
         count_(ctx.arena().acquire<std::uint32_t>(source.num_vertices(), 0)),
         touched_(ctx.arena().acquire<VertexId>(0)),
         residual_neighbors_(ctx.arena().acquire<VertexId>(0)),
@@ -135,13 +132,6 @@ class WindowRun {
   }
 
  private:
-  static constexpr std::uint32_t kNoRound =
-      std::numeric_limits<std::uint32_t>::max();
-
-  [[nodiscard]] bool is_member(VertexId v) const {
-    return member_round_[v] == round_;
-  }
-
   void assign_slot(std::size_t slot, PartitionId k) {
     assignment_[static_cast<std::size_t>(buffer_.slot(slot).global_id)] = k;
     buffer_.assign(slot);
@@ -175,13 +165,15 @@ class WindowRun {
       fresh.push_back(buffer_.add(*e));
     }
     if (streamed) ++stats_.refills;
-    if (round_ == kNoRound) return;  // between-rounds refill: nothing active
+    // Between rounds nothing is active, and the frontier still tags the
+    // closed round's members.
+    if (!round_open_) return;
 
     for (const std::size_t slot : fresh) {
       const auto& s = buffer_.slot(slot);
       if (s.assigned) continue;
-      const bool mu = is_member(s.u);
-      const bool mv = is_member(s.v);
+      const bool mu = frontier_.is_member(s.u);
+      const bool mv = frontier_.is_member(s.v);
       if (mu && mv) {
         assign_slot(slot, round_partition_);
         ++e_in_;
@@ -222,15 +214,14 @@ class WindowRun {
   /// left memory, which is the windowing approximation of Eq. 7's static
   /// N(v) (documented in DESIGN.md).
   void join(VertexId v) {
-    assert(!is_member(v));
-    if (frontier_.contains(v)) frontier_.remove(v);
-    member_round_[v] = round_;
+    assert(!frontier_.is_member(v));
+    frontier_.add_member(v);
     const std::uint32_t deg_at_join =
         std::max<std::uint32_t>(1, buffer_.live_degree(v));
 
     residual_neighbors_->clear();
     buffer_.for_each_live(v, [&](VertexId u, std::size_t slot) {
-      if (is_member(u)) {
+      if (frontier_.is_member(u)) {
         assign_slot(slot, round_partition_);
         ++e_in_;
         assert(e_out_ > 0);
@@ -258,7 +249,7 @@ class WindowRun {
   }
 
   void grow(PartitionId k, EdgeId capacity) {
-    round_ = k;
+    round_open_ = true;
     round_partition_ = k;
     frontier_.clear();
     e_in_ = 0;
@@ -291,12 +282,11 @@ class WindowRun {
     }
     // The round is closed: the between-rounds refill must not keep feeding
     // this partition through the (now finished) member set.
-    round_ = kNoRound;
+    round_open_ = false;
   }
 
   /// Final partition absorbs whatever is left in the buffer and the stream.
   void drain(PartitionId k) {
-    round_ = kNoRound;
     for (;;) {
       VertexId v = buffer_.any_live_vertex();
       while (v != kInvalidVertex) {
@@ -322,14 +312,13 @@ class WindowRun {
 
   WindowBuffer buffer_;
   std::vector<PartitionId> assignment_;
-  ScratchArena::Lease<std::uint32_t> member_round_;
   ScratchArena::Lease<std::uint32_t> count_;
   ScratchArena::Lease<VertexId> touched_;
   ScratchArena::Lease<VertexId> residual_neighbors_;
   ScratchArena::Lease<EdgeId> load_;
 
   Frontier frontier_;
-  std::uint32_t round_ = kNoRound;
+  bool round_open_ = false;
   PartitionId round_partition_ = 0;
   EdgeId e_in_ = 0;
   EdgeId e_out_ = 0;

@@ -282,6 +282,43 @@ TEST(RelabelTable, TlpcMatchesReferenceRelabelling) {
   }
 }
 
+TEST(RelabelTable, BuildReportCountsTheTable) {
+  // The table holds 8 bytes a slot, and 12 a slot (old and new) while its
+  // last doubling copies; neither is part of build_peak_bytes.
+  for (const std::size_t count : {std::size_t{100}, std::size_t{5000}}) {
+    const std::vector<VertexId> ids = relabel_input(count);
+    RelabelTable table;
+    for (const VertexId raw : ids) (void)table.intern(raw);
+    const std::size_t slots = table.capacity();
+    EXPECT_GE(table.peak_bytes(), 8 * slots + 4 * slots) << count;
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{4096}}) {
+      for (const bool to_file : {false, true}) {
+        GraphBuilder builder(/*relabel=*/true);
+        builder.set_memory_budget(budget);
+        for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+          builder.add_edge(ids[i], ids[i + 1]);
+        }
+        BuildReport report;
+        const auto path = temp_path("relabel_report.tlpc");
+        if (to_file) {
+          builder.build_to_file(path, &report);
+          std::filesystem::remove(path);
+        } else {
+          (void)builder.build(&report);
+        }
+        EXPECT_GE(report.relabel_peak_bytes, 8 * slots)
+            << count << " budget " << budget << " file " << to_file;
+        EXPECT_EQ(report.relabel_peak_bytes, table.peak_bytes()) << count;
+      }
+    }
+  }
+  GraphBuilder verbatim(/*relabel=*/false);
+  verbatim.add_edge(0, 1);
+  BuildReport report;
+  (void)verbatim.build(&report);
+  EXPECT_EQ(report.relabel_peak_bytes, 0u);
+}
+
 TEST(BuilderSpillCorners, EmptyBuild) {
   GraphBuilder b;
   b.set_memory_budget(1024);

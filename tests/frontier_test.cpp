@@ -1,7 +1,7 @@
 // Tests for the Frontier candidate structure — this is where the paper's
 // Eq. 7 (μs1) and Eq. 9 (μs2) selection rules live, so the hand-computed
 // examples here are the ground truth for the scoring math, and the
-// randomized differential suite pits the flat (epoch-stamped dense array +
+// randomized differential suite pits the flat (epoch-tagged slot array +
 // bucket ladder) implementation against a naive O(|frontier|)-scan oracle.
 // Only the index of the stage last selected from is kept current, so the
 // stage-run scripts pin what a switch rebuilds.
@@ -260,6 +260,94 @@ TEST(Frontier, EpochReuseAcrossRounds) {
   EXPECT_EQ(f.select_stage2(0, 2), kInvalidVertex);
 }
 
+}  // namespace
+
+/// Sets the epoch directly, so a test reaches the wrap in a few clears.
+struct FrontierTestPeer {
+  static void set_epoch(Frontier& f, std::uint32_t epoch) { f.epoch_ = epoch; }
+};
+
+namespace {
+
+// Membership lives in the same slot as candidacy: joining drops v as a
+// candidate, and no selection can return a member.
+TEST(FrontierMembers, MemberIsNeverContained) {
+  Frontier f;
+  f.add_connection(3, 4, 0.9);
+  f.add_connection(5, 4, 0.1);
+  EXPECT_FALSE(f.is_member(3));
+  f.add_member(3);
+  EXPECT_TRUE(f.is_member(3));
+  EXPECT_FALSE(f.contains(3));
+  EXPECT_EQ(f.size(), 1u);
+  EXPECT_EQ(f.select_stage1(), 5u);  // 3's higher μs1 entry is stale
+  EXPECT_EQ(f.select_stage2(0, 2), 5u);
+  f.add_member(7);  // a seed: never a candidate, far past the slots so far
+  EXPECT_TRUE(f.is_member(7));
+  EXPECT_FALSE(f.contains(7));
+  EXPECT_EQ(f.size(), 1u);
+  f.remove(5);
+  f.add_member(5);
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.select_stage1(), kInvalidVertex);
+  EXPECT_EQ(f.select_stage2(0, 0), kInvalidVertex);
+}
+
+TEST(FrontierMembers, RemoveOfACandidateIsNoJoin) {
+  Frontier f;
+  f.add_connection(2, 3, 0.5);
+  f.remove(2);
+  EXPECT_FALSE(f.contains(2));
+  EXPECT_FALSE(f.is_member(2));
+  f.add_connection(2, 3, 0.5);  // may come back as a candidate
+  EXPECT_TRUE(f.contains(2));
+  EXPECT_FALSE(f.is_member(2));
+  EXPECT_FALSE(f.is_member(1000));  // past the slots: neither
+}
+
+TEST(FrontierMembers, ClearEndsEveryMembership) {
+  Frontier f;
+  for (VertexId v = 0; v < 6; ++v) f.add_member(v);
+  f.add_connection(8, 2, 0.3);
+  f.clear();
+  for (VertexId v = 0; v < 9; ++v) {
+    EXPECT_FALSE(f.is_member(v)) << v;
+    EXPECT_FALSE(f.contains(v)) << v;
+  }
+  // A member of the last round is an ordinary vertex in this one.
+  f.add_connection(2, 5, 0.4);
+  EXPECT_TRUE(f.contains(2));
+  EXPECT_EQ(f.select_stage1(), 2u);
+}
+
+// Tags written at epoch 1 must not come back when the epoch wraps to 1
+// again: the wrap re-zeros both tags of every slot.
+TEST(FrontierMembers, ClearEndsEveryMembershipAcrossEpochWrap) {
+  ScratchArena arena;
+  Frontier f(arena, 16);  // pre-sized, like a growth run's
+  f.add_member(1);        // tagged with epoch 1
+  f.add_connection(2, 3, 0.5);
+  FrontierTestPeer::set_epoch(f, 0xFFFFFFFEu);
+  f.add_member(3);
+  f.add_connection(4, 3, 0.5);
+  f.clear();  // epoch 0xFFFFFFFF
+  EXPECT_FALSE(f.is_member(3));
+  EXPECT_FALSE(f.contains(4));
+  f.add_member(5);
+  f.add_connection(6, 3, 0.5);
+  EXPECT_TRUE(f.is_member(5));
+  f.clear();  // wraps to epoch 1
+  for (VertexId v = 0; v < 16; ++v) {
+    EXPECT_FALSE(f.is_member(v)) << v;
+    EXPECT_FALSE(f.contains(v)) << v;
+  }
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.select_stage1(), kInvalidVertex);
+  f.add_member(2);
+  EXPECT_TRUE(f.is_member(2));
+  EXPECT_FALSE(f.is_member(1));
+}
+
 // ---------------------------------------------------------------------------
 // Randomized differential suite: the flat Frontier vs a naive oracle that
 // stores candidates in a std::map and scans ALL of them per selection with
@@ -460,6 +548,9 @@ enum class Connect { kValue, kLazy, kUpsert };
 /// and a switch back may rescore only candidates connected since the
 /// switch. The upsert flavour often re-states one key and keeps the other,
 /// which leaves a candidate's older touch records behind its current c.
+/// Joins make random vertices members (a candidate or not, as growth does
+/// with its selections and seeds); no flavour connects a member again, and
+/// every select also checks contains()/is_member() of every id.
 void run_stage_script(Connect how, std::uint32_t seed) {
   constexpr VertexId kIds = 48;
   std::mt19937 rng(seed);
@@ -474,6 +565,8 @@ void run_stage_script(Connect how, std::uint32_t seed) {
   bool selected = false;  // a select since the last clear()
   int run_left = 1;
   std::set<VertexId> since_switch;
+  std::set<VertexId> members;
+  int joins = 0;
   int stage2_thunks = 0;
   int switches = 0;
   const auto rescore = [&](VertexId v) {
@@ -485,6 +578,7 @@ void run_stage_script(Connect how, std::uint32_t seed) {
     const std::uint32_t kind = roll(0, 99);
     if (kind < 50) {
       const VertexId u = roll(0, kIds - 1);
+      if (members.contains(u)) continue;  // residual edges lead outward
       if (how == Connect::kUpsert) {
         const bool live = oracle.contains(u);
         OracleCandidate next{roll(1, 12), 0, roll(0, 1000) / 1000.0};
@@ -517,14 +611,25 @@ void run_stage_script(Connect how, std::uint32_t seed) {
         oracle.add_connection(u, rdeg, term);
       }
       since_switch.insert(u);
-    } else if (kind < 65) {  // remove a random live candidate
+    } else if (kind < 59) {  // remove a random live candidate
       if (oracle.size() == 0) continue;
       auto it = oracle.all().begin();
       std::advance(it, roll(0, static_cast<std::uint32_t>(oracle.size()) - 1));
       const VertexId v = it->first;
       flat.remove(v);
       oracle.remove(v);
+    } else if (kind < 65) {  // a vertex joins the partition
+      const VertexId v = roll(0, kIds - 1);
+      if (members.contains(v)) continue;
+      flat.add_member(v);
+      oracle.remove(v);
+      members.insert(v);
+      ++joins;
     } else if (kind < 98) {  // select in the current stage
+      for (VertexId v = 0; v < kIds; ++v) {
+        ASSERT_EQ(flat.contains(v), oracle.contains(v)) << v << " op " << op;
+        ASSERT_EQ(flat.is_member(v), members.contains(v)) << v << " op " << op;
+      }
       bool switching = false;
       if (--run_left <= 0) {
         switching = selected;
@@ -558,10 +663,12 @@ void run_stage_script(Connect how, std::uint32_t seed) {
       std::fill(round_rdeg.begin(), round_rdeg.end(), 0u);
       selected = false;
       since_switch.clear();
+      members.clear();
     }
   }
   EXPECT_EQ(stage2_thunks, 0);
   EXPECT_GT(switches, 100);
+  EXPECT_GT(joins, 100);
 }
 
 TEST(FrontierDifferential, StageRunsMatchOracleValueOverload) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/baselines.hpp"
 #include "core/multi_tlp.hpp"
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
@@ -262,6 +263,31 @@ TEST(RunContext, DeadlineInsideOneTlpRoundAbortsPartitioning) {
   (void)tlp.partition(g, config, ctx);
   ctx.cancel().set_timeout(std::chrono::milliseconds{5});
   EXPECT_THROW((void)tlp.partition(g, config, ctx), RunCancelled);
+}
+
+/// The streaming baselines have no rounds: only their poll every
+/// kCancelPollEdges placed edges can see a deadline that passes mid-run.
+/// A first, unlimited run warms the arena and shows the run is far longer
+/// than the 5 ms deadline; the timed run must then throw.
+void expect_deadline_inside_stream_aborts(const Partitioner& partitioner) {
+  const Graph g = gen::chung_lu_power_law(20000, 200000, 2.1, 7);
+  PartitionConfig config;
+  config.num_partitions = 32;
+  RunContext ctx;
+  const auto start = std::chrono::steady_clock::now();
+  (void)partitioner.partition(g, config, ctx);
+  ASSERT_GT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds{10});
+  ctx.cancel().set_timeout(std::chrono::milliseconds{5});
+  EXPECT_THROW((void)partitioner.partition(g, config, ctx), RunCancelled);
+}
+
+TEST(RunContext, DeadlineInsideHdrfStreamAbortsPartitioning) {
+  expect_deadline_inside_stream_aborts(baselines::HdrfPartitioner{});
+}
+
+TEST(RunContext, DeadlineInsideGreedyStreamAbortsPartitioning) {
+  expect_deadline_inside_stream_aborts(baselines::GreedyPartitioner{});
 }
 
 TEST(RunContext, ArenaHitsFromSecondRunOnward) {

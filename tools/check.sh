@@ -2,7 +2,8 @@
 # Tier-1 verification plus a sanitizer pass.
 #
 #   tools/check.sh            # docs link check, tier-1 build + ctest, then
-#                             # ASan (Debug, asserts on) and UBSan test
+#                             # ASan (Debug, asserts and libstdc++
+#                             # bounds checks on) and UBSan test
 #                             # runs, then the Release smokes
 #   tools/check.sh --fast     # link check + tier-1 only (skip sanitizers +
 #                             # Release smokes)
@@ -59,8 +60,11 @@ fi
 # Sanitizer passes: tests only (benches/examples just slow these down).
 # The ASan leg is a Debug build, the one leg without NDEBUG, so the
 # assert-guarded invariants (frontier counts, heap and gain bookkeeping)
-# run somewhere.
+# run somewhere. It also defines _GLIBCXX_ASSERTIONS, so every std::vector
+# operator[] (arena leases, frontier slots, prefetch indices) is
+# bounds-checked.
 run_suite build-asan -DTLP_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
 run_suite build-ubsan -DTLP_SANITIZE=undefined \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF

@@ -87,7 +87,8 @@ int convert(const fs::path& dir, bool relabel) {
   std::cerr << "ingest: spill convert" << (relabel ? " (relabel)" : "")
             << " OK (" << report.kept_edges
             << " edges, " << report.spill_runs << " runs, builder peak "
-            << report.build_peak_bytes / 1024 << "KB)\n";
+            << report.build_peak_bytes / 1024 << "KB, relabel table peak "
+            << report.relabel_peak_bytes / 1024 << "KB)\n";
   return 0;
 }
 
