@@ -55,7 +55,7 @@ bool telemetry_lines_enabled() {
 }
 
 /// The registry's headline refinement configuration: refine BOTH TLP
-/// growth variants (single-round `tlp` and multi-round `multi_tlp`) with
+/// growth variants (sequential `tlp` and round-robin `multi_tlp`) with
 /// the gain-heap engine and keep the lower-RF result. Refinement never
 /// worsens RF (rollback-to-best), so the portfolio is <= either base by
 /// construction — dense graphs where sequential growth wins (G1) and

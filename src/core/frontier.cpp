@@ -44,11 +44,11 @@ void Frontier::clear() {
   hwm_c_ = 0;
   live_ = Live::kBoth;
   touched_->clear();
-  if (++epoch_ == 0) {
+  if (++round_ == 0) {
     // A wrapped epoch could resurrect prehistoric tags; re-zero both and
     // restart. Unreachable in practice (2^32 - 1 rounds on one frontier).
     std::fill(slots_->begin(), slots_->end(), Slot{});
-    epoch_ = 1;
+    round_ = 1;
   }
 }
 

@@ -44,7 +44,7 @@
 // system, so none of it chases pointers):
 //  * Every vertex has ONE 24-byte hot record (`Slot slots_[n]`): two epoch
 //    tags, then the candidate state (c, rdeg, μs1). v is a candidate iff
-//    its `stamp` equals epoch_, and a member of the round's partition iff
+//    its `stamp` equals round_, and a member of the round's partition iff
 //    its `member` tag does. A growth join asks both questions of every
 //    neighbour and then updates the same neighbour's candidate state, so
 //    one slot (one or two cache lines, which a caller can prefetch ahead
@@ -104,12 +104,12 @@ class Frontier {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool contains(VertexId v) const {
-    return v < slots_->size() && (*slots_)[v].stamp == epoch_;
+    return v < slots_->size() && (*slots_)[v].stamp == round_;
   }
 
   /// True iff v joined the partition since the last clear().
   [[nodiscard]] bool is_member(VertexId v) const {
-    return v < slots_->size() && (*slots_)[v].member == epoch_;
+    return v < slots_->size() && (*slots_)[v].member == round_;
   }
 
   /// Makes v a member of the partition (it joins): drops it as a candidate
@@ -117,11 +117,11 @@ class Frontier {
   void add_member(VertexId v) {
     ensure_slot(v);
     Slot& slot = (*slots_)[v];
-    if (slot.stamp == epoch_) {
+    if (slot.stamp == round_) {
       slot.stamp = 0;
       --size_;
     }
-    slot.member = epoch_;
+    slot.member = round_;
   }
 
   /// Hints that v's slot is about to be read: a join can issue this for
@@ -193,11 +193,11 @@ class Frontier {
   void upsert(VertexId v, std::uint32_t c, std::uint32_t rdeg, double mu1) {
     ensure_slot(v);
     Slot& slot = (*slots_)[v];
-    assert(slot.member != epoch_);
+    assert(slot.member != round_);
     Candidate& cand = slot.cand;
-    const bool fresh = slot.stamp != epoch_;
+    const bool fresh = slot.stamp != round_;
     if (fresh) {
-      slot.stamp = epoch_;
+      slot.stamp = round_;
       ++size_;
     }
     const bool push_stage1 = fresh || cand.mu1 != mu1;
@@ -299,15 +299,15 @@ class Frontier {
   /// A vertex's hot record. The tags come first, so the bytes both
   /// membership questions read share one cache line.
   struct Slot {
-    std::uint32_t stamp = 0;   ///< a candidate iff == epoch_
-    std::uint32_t member = 0;  ///< a member iff == epoch_
+    std::uint32_t stamp = 0;   ///< a candidate iff == round_
+    std::uint32_t member = 0;  ///< a member iff == round_
     Candidate cand;
   };
   static_assert(sizeof(Slot) == 24);
 
   /// Dense per-vertex slots (0 is never a valid epoch).
   ScratchArena::Lease<Slot> slots_;
-  std::uint32_t epoch_ = 1;
+  std::uint32_t round_ = 1;  ///< the epoch tag of the current round
   std::size_t size_ = 0;
 
   /// Lazy max-heap for Stage I; entries are validated against the slots.
@@ -337,11 +337,11 @@ class Frontier {
   bool connect(VertexId u, std::uint32_t residual_degree) {
     ensure_slot(u);
     Slot& slot = (*slots_)[u];
-    assert(slot.member != epoch_);
+    assert(slot.member != round_);
     Candidate& cand = slot.cand;
-    const bool fresh = slot.stamp != epoch_;
+    const bool fresh = slot.stamp != round_;
     if (fresh) {
-      slot.stamp = epoch_;
+      slot.stamp = round_;
       ++size_;
       cand.c = 1;
       cand.rdeg = residual_degree;

@@ -24,10 +24,4 @@ ResidualState::ResidualState(const Graph& g, ScratchArena& arena)
   }
 }
 
-void ResidualState::commit_claim(EdgeId e) {
-  assert(is_assigned(e));
-  const Edge& edge = graph_->edge(e);
-  release(edge.u, edge.v);
-}
-
 }  // namespace tlp

@@ -122,44 +122,14 @@ class ResidualState {
     assert(std::minmax(a, b) ==
            std::minmax(graph_->edge(e).u, graph_->edge(e).v));
     const auto id = static_cast<std::size_t>(e);
-    assigned_[id >> 6] |= bit_mask(id);
-    release(a, b);
-  }
-
-  /// Claim path for super-step growth (core/multi_tlp.cpp): sets e's bit
-  /// and reports whether THIS call flipped it (test-and-set). A false
-  /// return means the bit was already set — either an earlier super-step
-  /// assigned the edge, or an earlier claimant in the same step holds it;
-  /// the caller tells the two apart at its commit and resolves contests
-  /// deterministically. Degrees and the unassigned count are NOT touched
-  /// here — the first claim is finalized with commit_claim().
-  bool try_claim(EdgeId e) {
-    const auto id = static_cast<std::size_t>(e);
-    const std::uint64_t bit = bit_mask(id);
-    std::uint64_t& word = assigned_[id >> 6];
-    const bool was_set = (word & bit) != 0;
-    word |= bit;
-    return !was_set;
-  }
-
-  /// Follow-up to a successful try_claim: decrements both endpoints'
-  /// residual degrees and the unassigned count.
-  /// Precondition: e's bit is set and commit_claim(e) has not run before.
-  void commit_claim(EdgeId e);
-
- private:
-  [[nodiscard]] static std::uint64_t bit_mask(std::size_t id) {
-    return std::uint64_t{1} << (id & 63);
-  }
-
-  /// Takes one assigned edge {a, b} out of the residual degrees and count.
-  void release(VertexId a, VertexId b) {
+    assigned_[id >> 6] |= std::uint64_t{1} << (id & 63);
     assert(residual_degree_.get(a) > 0 && residual_degree_.get(b) > 0);
     residual_degree_.decrement(a);
     residual_degree_.decrement(b);
     --unassigned_;
   }
 
+ private:
   const Graph* graph_;
   /// One bit per edge: assigned_[w] holds edges [64w, 64w+63].
   ScratchArena::Lease<std::uint64_t> assigned_;

@@ -1,4 +1,4 @@
-// The Stage-I scorer shared by sequential (core/tlp.cpp) and super-step
+// The Stage-I scorer shared by sequential (core/tlp.cpp) and round-robin
 // (core/multi_tlp.cpp) growth. Eq. 7 scores candidate u via joining
 // member v by |N(u) ∩ N(v)| / |N(v)|, and one join scores many u against
 // the same v. So the scorer sets the bits of N(v) in an n-bit table once,
@@ -10,6 +10,7 @@
 // without an O(n) sweep.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -70,6 +71,30 @@ class Stage1Scorer {
     std::span<const VertexId> nv_;
     bool loaded_ = false;
   };
+
+  /// μs1(u) from scratch (Eq. 7): the max of |N(u) ∩ N(v)| / |N(v)| over
+  /// the neighbours v of u whose incidence `reaches(nb)` accepts. A growth
+  /// run accepts the members of its partition that reach u by a residual
+  /// edge, so this is the running max an eager frontier would hold. N(u)
+  /// is loaded once and probed along each N(v); a term whose Eq. 7 bound
+  /// min(deg u, deg v) / deg v cannot beat the max so far is skipped, which
+  /// never changes the max. Opens a Join scope on u, so no other scope of
+  /// this scorer may be alive.
+  template <typename Reaches>
+  [[nodiscard]] double mu1(VertexId u, Reaches&& reaches) {
+    Join scores(*this, u);
+    const std::size_t du = g_.degree(u);
+    double best = 0.0;
+    for (const Neighbor& nb : g_.neighbors(u)) {
+      if (!reaches(nb)) continue;
+      const std::size_t dv = g_.degree(nb.vertex);
+      const auto den = static_cast<double>(dv);
+      if (static_cast<double>(std::min(du, dv)) / den <= best) continue;
+      best = std::max(best,
+                      static_cast<double>(scores.common(nb.vertex)) / den);
+    }
+    return best;
+  }
 
   /// The table's words; all zero whenever no Join scope holds it.
   [[nodiscard]] std::span<const std::uint64_t> words() const { return *bits_; }

@@ -153,28 +153,14 @@ class GrowthRun {
     }
   }
 
-  /// μs1(u) from scratch (Eq. 7): the max of |N(u) ∩ N(v)| / |N(v)| over
-  /// the members v that reach u by a residual edge — exactly the set of
-  /// members whose joins called add_connection(u), so this equals the
-  /// running max an eagerly maintained frontier would hold. The frontier
-  /// calls it on a switch back to Stage I, for each candidate touched while
-  /// Stage II was live. N(u) is loaded once and probed along each N(v); a
-  /// term whose Eq. 7 bound cannot beat the max so far is skipped.
+  /// μs1(u) from scratch (Eq. 7) over the members that reach u by a
+  /// residual edge — exactly the set of members whose joins called
+  /// add_connection(u). The frontier calls it on a switch back to Stage I,
+  /// for each candidate touched while Stage II was live.
   [[nodiscard]] double rescore_mu1(VertexId u) {
-    Stage1Scorer::Join scores(scorer_, u);
-    const std::size_t du = g_.degree(u);
-    double best = 0.0;
-    for (const Neighbor& nb : g_.neighbors(u)) {
-      if (residual_.is_assigned(nb.edge) || !frontier_.is_member(nb.vertex)) {
-        continue;
-      }
-      const std::size_t dv = g_.degree(nb.vertex);
-      const auto den = static_cast<double>(dv);
-      if (static_cast<double>(std::min(du, dv)) / den <= best) continue;
-      best = std::max(best,
-                      static_cast<double>(scores.common(nb.vertex)) / den);
-    }
-    return best;
+    return scorer_.mu1(u, [this](const Neighbor& nb) {
+      return !residual_.is_assigned(nb.edge) && frontier_.is_member(nb.vertex);
+    });
   }
 
   /// True while the current partition is in Stage I under the configured

@@ -264,7 +264,7 @@ TEST(Frontier, EpochReuseAcrossRounds) {
 
 /// Sets the epoch directly, so a test reaches the wrap in a few clears.
 struct FrontierTestPeer {
-  static void set_epoch(Frontier& f, std::uint32_t epoch) { f.epoch_ = epoch; }
+  static void set_epoch(Frontier& f, std::uint32_t epoch) { f.round_ = epoch; }
 };
 
 namespace {

@@ -1,6 +1,5 @@
 // Tests for ResidualState's bit-packed claim bitmap: word boundaries
-// (bits 63/64, the last edge of a partial word) on both the serial
-// mark_assigned path and the super-step try_claim + commit_claim path.
+// (bits 63/64, the last edge of a partial word) on the mark_assigned path.
 #include "core/residual.hpp"
 
 #include <gtest/gtest.h>
@@ -31,34 +30,24 @@ TEST(ResidualState, ClaimBitmapWordBoundaries) {
     for (const EdgeId e : {EdgeId{62}, EdgeId{63}, EdgeId{64}}) {
       if (e < m) probes.insert(e);
     }
-    for (const bool claim_path : {false, true}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "m=" << m << (claim_path ? " try_claim" : " mark"));
-      ScratchArena arena;
-      ResidualState residual(g, arena);
-      EXPECT_EQ(residual.unassigned_count(), m);
-      EdgeId claimed = 0;
-      for (const EdgeId e : probes) {
-        EXPECT_FALSE(residual.is_assigned(e)) << "edge " << e;
-        if (claim_path) {
-          EXPECT_TRUE(residual.try_claim(e)) << "edge " << e;
-          residual.commit_claim(e);
-        } else {
-          residual.mark_assigned(e, g.edge(e).u, g.edge(e).v);
-        }
-        ++claimed;
-        EXPECT_TRUE(residual.is_assigned(e)) << "edge " << e;
-        EXPECT_FALSE(residual.try_claim(e)) << "second claim of " << e;
-        EXPECT_EQ(residual.unassigned_count(), m - claimed);
-      }
-      // No neighbouring bit was touched, and degrees followed the claims.
-      for (EdgeId e = 0; e < m; ++e) {
-        EXPECT_EQ(residual.is_assigned(e), probes.contains(e))
-            << "edge " << e;
-      }
-      EXPECT_EQ(residual_degree_sum(g, residual),
-                2 * static_cast<std::uint64_t>(residual.unassigned_count()));
+    SCOPED_TRACE(::testing::Message() << "m=" << m);
+    ScratchArena arena;
+    ResidualState residual(g, arena);
+    EXPECT_EQ(residual.unassigned_count(), m);
+    EdgeId claimed = 0;
+    for (const EdgeId e : probes) {
+      EXPECT_FALSE(residual.is_assigned(e)) << "edge " << e;
+      residual.mark_assigned(e, g.edge(e).u, g.edge(e).v);
+      ++claimed;
+      EXPECT_TRUE(residual.is_assigned(e)) << "edge " << e;
+      EXPECT_EQ(residual.unassigned_count(), m - claimed);
     }
+    // No neighbouring bit was touched, and degrees followed the claims.
+    for (EdgeId e = 0; e < m; ++e) {
+      EXPECT_EQ(residual.is_assigned(e), probes.contains(e)) << "edge " << e;
+    }
+    EXPECT_EQ(residual_degree_sum(g, residual),
+              2 * static_cast<std::uint64_t>(residual.unassigned_count()));
   }
 }
 

@@ -12,8 +12,9 @@
 # build-ubsan/, build-release/, build-nosimd/) so incremental re-runs stay
 # cheap. No library code starts a thread, so there is no ThreadSanitizer
 # leg. The refinement perf smoke runs refine_runtime's win table at -O2. The
-# growth oracle (TlpReference*), the multi_tlp byte pin
-# (MultiTlp.OutputBytesPinned), the warm-arena gate
+# growth oracle (TlpReference*), the multi_tlp byte pin and level-rounds
+# check (MultiTlp.OutputBytesPinned, MultiTlp.RoundsStayLevel), the
+# warm-arena gate
 # (RunContext.WarmRerunAddsNoArenaMissesOnPowerLaw) and kernel identity
 # (KernelDifferential*) run in every ctest leg. The out-of-core leg caps
 # the heap with `ulimit -d` below the CSR size and requires the mmap
