@@ -86,6 +86,8 @@ EdgePartition RefinedPartitioner::do_partition(const Graph& g,
   t.add("refine_heap_rebuilds", static_cast<double>(refined.heap_rebuilds));
   t.add("refine_reindexed", static_cast<double>(refined.reindexed));
   t.add("refine_requeued", static_cast<double>(refined.requeued));
+  t.add("refine_touches", static_cast<double>(refined.touches));
+  t.add("refine_start_rekeyed", static_cast<double>(refined.start_rekeyed));
   t.add_seconds("refine_rebuild_s", refined.rebuild_s);
   t.add_seconds("refine_walk_s", refined.walk_s);
   return result;

@@ -24,6 +24,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// start_key_ of an edge the pass start left out of the heap.
+constexpr std::uint8_t kNoKey = 0xFF;
+
 /// One applied move, logged for rollback.
 struct MoveRecord {
   EdgeId edge;
@@ -44,8 +47,10 @@ class SerialRun {
                MoveState::cap_for(g.num_edges(), partition.num_partitions(),
                                   options.balance_slack),
                ctx.arena()),
-        heap_(ctx.arena(), g.num_edges()),
+        heap_(ctx.arena(), g),
         locked_(ctx.arena().acquire<std::uint32_t>(g.num_edges(), 0)),
+        start_key_(ctx.arena().acquire<std::uint8_t>(g.num_edges(), kNoKey)),
+        moved_(ctx.arena().acquire<std::uint8_t>(g.num_vertices(), 0)),
         parked_on_(ctx.arena().acquire<PartitionId>(g.num_edges(),
                                                     kNoPartition)),
         parked_gain_(ctx.arena().acquire<std::int8_t>(g.num_edges(), 0)),
@@ -68,23 +73,43 @@ class SerialRun {
   }
 
  private:
-  /// Full reindex: one heap rebuild per pass, written to the heap's base
-  /// layer (one byte per edge, no pushes). Edges locked by THIS pass never
-  /// exist here (a pass starts with everything unlocked), and the parked
-  /// lists start empty.
-  void rebuild_heap() {
+  /// Pass-start reindex: one heap rebuild per pass, written to the heap's
+  /// base layer (one byte per edge, no pushes). Edges locked by THIS pass
+  /// never exist here (a pass starts with everything unlocked), and the
+  /// parked lists start empty. While no partition is at the cap, a key
+  /// reads only its endpoints' counts and replica sets, so when none was
+  /// at the last pass start either, only the edges at an endpoint of a
+  /// move that survived the last pass get a fresh best_key; every other
+  /// key is the one that start gave. Otherwise every edge is rekeyed.
+  void rebuild_heap(RefineResult& stats) {
     heap_.clear();
     for (auto& ladder : parked_) {
       for (auto& bucket : ladder) bucket.clear();
     }
     std::fill(parked_on_->begin(), parked_on_->end(), kNoPartition);
+    const bool capped = state_.any_full();
+    const bool reuse = start_keys_uncapped_ && !capped;
     for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-      const PartitionId from = partition_.partition_of(e);
-      if (from == kNoPartition) continue;
-      const MoveState::Candidate cand = state_.best_key(g_.edge(e), from);
-      if (cand.to != kNoPartition) heap_.set_base(e, cand.gain);
-      park(e, cand);
+      const Edge& edge = g_.edge(e);
+      if (!reuse || moved_[edge.u] != 0 || moved_[edge.v] != 0) {
+        const PartitionId from = partition_.partition_of(e);
+        std::uint8_t key = kNoKey;
+        if (from != kNoPartition) {
+          ++stats.start_rekeyed;
+          const MoveState::Candidate cand = state_.best_key(edge, from);
+          if (cand.to != kNoPartition) {
+            key = static_cast<std::uint8_t>(GainHeap::bucket_of(cand.gain));
+          }
+          park(e, cand);
+        }
+        start_key_[e] = key;
+      }
+      if (start_key_[e] != kNoKey) {
+        heap_.set_base(e, static_cast<int>(start_key_[e]) + GainHeap::kMinGain);
+      }
     }
+    start_keys_uncapped_ = !capped;
+    std::fill(moved_->begin(), moved_->end(), std::uint8_t{0});
   }
 
   /// Parks e on the partition whose cap blocks its best move, at that
@@ -105,52 +130,56 @@ class SerialRun {
     parked_[cand.blocked][GainHeap::bucket_of(cand.blocked_gain)].push_back(e);
   }
 
-  /// Recomputes f's best move and rekeys (or drops) its heap entry.
-  void reindex(EdgeId f, PartitionId from, RefineResult& stats) {
+  /// Recomputes f's best move and rekeys (or drops) its heap entry: with
+  /// a pushed entry, or inside a touch (`touching`) without one.
+  void reindex(EdgeId f, PartitionId from, bool touching,
+               RefineResult& stats) {
     ++stats.reindexed;
     const MoveState::Candidate cand = state_.best_key(g_.edge(f), from);
-    if (cand.to != kNoPartition) {
-      heap_.update(f, cand.gain);
-    } else {
+    if (cand.to == kNoPartition) {
       heap_.remove(f);
+    } else if (touching) {
+      heap_.rekey(f, cand.gain);
+    } else {
+      heap_.update(f, cand.gain);
     }
     park(f, cand);
   }
 
-  /// Rekeys the unlocked edges at x after an edge at x moved from `a` to
-  /// `b` (the delta-gain rule, docs/REFINEMENT.md §3). If x's replica set
-  /// changed, every gain at x may have; otherwise only the freed term of
-  /// x's last edge in `a` (count 1) or its other edge in `b` (count 2)
-  /// can. Every other edge in the heap is re-pushed at its current key,
-  /// which keeps the heap's LIFO recency the same as a full recompute
-  /// would; one that is not in the heap gets a fresh best_key.
+  /// Touches x after an edge at x moved from `a` to `b`, rekeying the
+  /// unlocked edges there by the delta-gain rule (docs/REFINEMENT.md §3).
+  /// If x's replica set changed, every gain at x may have; otherwise only
+  /// the freed term of x's last edge in `a` (count 1) or its other edge in
+  /// `b` (count 2) can. An unlocked edge not in the heap gets a fresh
+  /// best_key too. The touch gives every other edge in the heap the
+  /// recency of a re-push at its current key, so the LIFO order is the one
+  /// a full recompute would leave.
   void reindex_around(VertexId x, PartitionId a, PartitionId b,
                       std::uint32_t pass, RefineResult& stats) {
+    ++stats.touches;
     const std::uint32_t in_a = state_.count(x, a);
     const std::uint32_t in_b = state_.count(x, b);
     const bool whole = in_a == 0 || in_b == 1;
     const PartitionId last_a = in_a == 1 ? a : kNoPartition;
     const PartitionId pair_b = in_b == 2 ? b : kNoPartition;
     const bool some = last_a != kNoPartition || pair_b != kNoPartition;
-    for (const Neighbor& nb : g_.neighbors(x)) {
+    heap_.touch(x, [&](const Neighbor& nb) {
       const EdgeId f = nb.edge;
       if (!heap_.contains(f)) {
-        if (locked_[f] == pass) continue;
+        if (locked_[f] == pass) return;
         const PartitionId from = partition_.partition_of(f);
-        if (from != kNoPartition) reindex(f, from, stats);
-        continue;
+        if (from != kNoPartition) reindex(f, from, true, stats);
+        return;
       }
       // A live entry implies f is unlocked and assigned, so on a hub the
       // common case reads no per-edge state but the heap's own.
       if (whole || some) {
         const PartitionId from = partition_.partition_of(f);
         if (whole || from == last_a || from == pair_b) {
-          reindex(f, from, stats);
-          continue;
+          reindex(f, from, true, stats);
         }
       }
-      heap_.update(f, heap_.gain_of(f));
-    }
+    });
   }
 
   /// A move took k down to cap - 1, which leaves room for one more edge.
@@ -172,7 +201,7 @@ class SerialRun {
         const int before =
             heap_.contains(f) ? heap_.gain_of(f) : GainHeap::kMinGain - 1;
         ++stats.requeued;
-        reindex(f, partition_.partition_of(f), stats);
+        reindex(f, partition_.partition_of(f), false, stats);
         if (heap_.contains(f) && heap_.gain_of(f) > before) return;
       }
     }
@@ -181,7 +210,7 @@ class SerialRun {
   /// Runs one pass; returns the number of SURVIVING moves.
   std::size_t run_pass(std::uint32_t pass, RefineResult& stats) {
     const auto rebuild_start = std::chrono::steady_clock::now();
-    rebuild_heap();
+    rebuild_heap(stats);
     stats.rebuild_s += seconds_since(rebuild_start);
     ++stats.heap_rebuilds;
     const auto walk_start = std::chrono::steady_clock::now();
@@ -245,6 +274,11 @@ class SerialRun {
       }
       ++stats.rollbacks;
     }
+    for (std::size_t i = 0; i < best_len; ++i) {
+      const Edge& edge = g_.edge(log_[i].edge);
+      moved_[edge.u] = 1;
+      moved_[edge.v] = 1;
+    }
     stats.moves += best_len;
     stats.replicas_removed += static_cast<std::size_t>(best_net);
     stats.walk_s += seconds_since(walk_start);
@@ -260,6 +294,13 @@ class SerialRun {
   /// Pass id in which each edge was moved (0 = never); an edge locked by
   /// the current pass is not movable again until the next pass.
   ScratchArena::Lease<std::uint32_t> locked_;
+  /// Per edge, the gain bucket the last pass start keyed it at (kNoKey:
+  /// none), and per vertex, whether a move at it survived the last pass.
+  /// Both feed the next pass start's reuse; start_keys_uncapped_ says no
+  /// partition was at the cap when start_key_ was written.
+  ScratchArena::Lease<std::uint8_t> start_key_;
+  ScratchArena::Lease<std::uint8_t> moved_;
+  bool start_keys_uncapped_ = false;
   /// The partition each edge is parked on (kNoPartition = none) and the
   /// blocked gain it was parked at; per partition, a ladder of parked
   /// edges by that gain (the GainHeap's buckets, LIFO) for requeue().

@@ -3,24 +3,31 @@
 // moves and rollback-to-best, on top of ANY edge partition.
 //
 // Each pass (docs/REFINEMENT.md):
-//   1. Full reindex: every assigned edge's best admissible gain goes into
-//      the lazy-invalidation GainHeap's base layer (one heap rebuild per
-//      pass, one byte per edge), and an edge whose best move the cap
-//      blocks is parked on that target.
+//   1. Pass-start reindex: every assigned edge's best admissible gain goes
+//      into the lazy-invalidation GainHeap's base layer (one heap rebuild
+//      per pass, one byte per edge), and an edge whose best move the cap
+//      blocks is parked on that target. When no partition is at the cap
+//      now or was at the last pass start, a key reads only its endpoints'
+//      counts and replica sets, so only the edges at an endpoint of a move
+//      that survived the last pass get a fresh best_key; the rest keep
+//      the key that start gave them (one byte per edge). Otherwise every
+//      edge is rekeyed.
 //   2. Pop the max-gain edge; recompute its best gain against the CURRENT
 //      state (loads and replica sets drift under it — the heap is a hint,
 //      the recompute is the truth). A changed gain is re-pushed, not
 //      applied; an unchanged one picks its target (MoveState::target).
 //   3. Positive gain: apply and lock the edge for the pass (each edge
 //      moves at most once per pass — the FM discipline that prevents
-//      A->B->A thrash). Then rekey the edges at the moved endpoints by the
-//      delta-gain rule: for a move A -> B, an endpoint x whose replica set
-//      changed (count(x, A) == 0 or count(x, B) == 1) has every incident
-//      gain recomputed; otherwise only the freed term of x's edges in A
-//      (count(x, A) == 1) or in B (count(x, B) == 2) can have changed, so
-//      only those are recomputed. Every other incident edge in the heap is
-//      re-pushed at its current key, which keeps the heap's LIFO recency
-//      (the escape walk's order) as a full recompute would leave it.
+//      A->B->A thrash). Then touch each moved endpoint x and rekey the
+//      edges there by the delta-gain rule: for a move A -> B, if x's
+//      replica set changed (count(x, A) == 0 or count(x, B) == 1) every
+//      incident gain is recomputed; otherwise only the freed term of x's
+//      edges in A (count(x, A) == 1) or in B (count(x, B) == 2) can have
+//      changed, so only those are recomputed. The touch is one heap entry
+//      per gain bucket, not a push per edge: it gives every incident edge
+//      in the heap the recency of a re-push at its key, which keeps the
+//      heap's LIFO order (the escape walk's order) as a full recompute
+//      would leave it.
 //      Loads change too, and only through the cap: a target that fills
 //      leaves an over-estimate the pop-time recompute corrects, while a
 //      target that drops below the cap would leave an under-estimate
@@ -70,7 +77,8 @@ enum class RefineEngine {
 /// `engine`; refine_gain below ignores it).
 struct RefineOptions {
   RefineEngine engine = RefineEngine::kGainHeap;
-  /// Maximum passes: one full sweep (kGreedy) or reindex (kGainHeap) each.
+  /// Maximum passes: one full sweep (kGreedy) or pass-start reindex
+  /// (kGainHeap) each.
   /// Each gain-heap pass unlocks all edges.
   int max_passes = 4;
   /// Load ceiling as a multiple of m/p (hard constraint; see above): moves
@@ -95,8 +103,15 @@ struct RefineResult {
   /// kGainHeap: passes that ended in a rollback (escape walk never found a
   /// new best).
   std::size_t rollbacks = 0;
-  /// kGainHeap: full per-pass reindexes + in-heap compaction events.
+  /// kGainHeap: pass-start reindexes + in-heap compaction events.
   std::size_t heap_rebuilds = 0;
+  /// kGainHeap: best_key calls in the pass-start reindexes (every assigned
+  /// edge on a full rebuild, the edges at the last pass's surviving moves
+  /// on a reuse).
+  std::size_t start_rekeyed = 0;
+  /// kGainHeap: vertex touches by the post-move delta-gain rekey (two per
+  /// applied move, one for a self-loop).
+  std::size_t touches = 0;
   /// kGainHeap: best_key calls outside the pass-start rebuild: pop
   /// revalidations, the post-move delta-gain reindex, and parked-edge
   /// requeues.

@@ -177,6 +177,12 @@ class MoveState {
     return counts_.get(v, k);
   }
   [[nodiscard]] const ReplicaSetPool& replicas() const { return replicas_; }
+  /// True iff some partition is at or above the cap. While none is, a
+  /// key (best_key) reads only the endpoints' counts and replica sets.
+  [[nodiscard]] bool any_full() const {
+    return std::any_of(full_->begin(), full_->end(),
+                       [](std::uint64_t word) { return word != 0; });
+  }
 
   /// Replicas freed if e left `from` (0..2).
   [[nodiscard]] int freed(const Edge& edge, PartitionId from) const {

@@ -1,7 +1,8 @@
 // Unit tests for the lazy-invalidation bucket-ladder GainHeap
 // (src/refine/gain_heap.hpp): ordering, LIFO tie-breaking, lazy staleness,
-// consumption semantics, the compaction threshold, and the base layer
-// against the same heap keyed through update().
+// consumption semantics, the compaction threshold, the base layer against
+// the same heap keyed through update(), and touches against per-edge
+// update() calls in N(x) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +12,24 @@
 #include <stdexcept>
 #include <vector>
 
+#include "gen/generators.hpp"
 #include "refine/gain_heap.hpp"
 
 namespace tlp::refine {
+
+/// Replays a version wrap without 2^32 updates: winds an id's version
+/// (or a vertex's touch version) back by `by`, so its next update (or
+/// touch) takes the version of an older entry that may still sit in the
+/// ladder, as it would once the 32-bit counter came around.
+struct GainHeapTestPeer {
+  static void rewind_id(GainHeap& heap, std::uint64_t id, std::uint32_t by) {
+    heap.version_[id] -= by;
+  }
+  static void rewind_vertex(GainHeap& heap, VertexId x, std::uint32_t by) {
+    heap.touched_[x] -= by;
+  }
+};
+
 namespace {
 
 TEST(GainHeap, PopsHighestGainFirst) {
@@ -268,6 +284,199 @@ TEST(GainHeap, BaseLayerScriptsMatchThroughCompaction) {
     run_scripts(/*capacity=*/60, /*churn_percent=*/70, seed, rebuilds);
   }
   EXPECT_GE(rebuilds, 4u);  // the scripts did compact
+}
+
+TEST(GainHeap, TouchRepushesLiveEdgesInNeighbourOrder) {
+  // A graph at 0 plus (1, 2): N(0) = 0-1, 0-2, 0-3 (edges 0, 1, 2).
+  const Graph g = Graph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}});
+  ScratchArena arena;
+  GainHeap heap(arena, g);
+  heap.set_base(0, 1);
+  heap.set_base(1, 1);
+  heap.set_base(2, 0);
+  heap.set_base(3, 1);
+  heap.update(3, 1);  // own push: above every base entry
+  heap.touch(0, [&](const Neighbor& nb) {
+    if (nb.edge == 2) heap.rekey(2, 1);  // joins gain 1, no push
+  });
+  // As if 0, 1, 2 were re-pushed in that order after edge 3.
+  const std::uint64_t expected[] = {2, 1, 0, 3};
+  for (const std::uint64_t id : expected) {
+    const GainHeap::Top top = heap.pop_best();
+    EXPECT_EQ(top.id, id);
+    EXPECT_EQ(top.gain, 1);
+  }
+  EXPECT_EQ(heap.pop_best().id, kInvalidEdge);
+}
+
+TEST(GainHeap, LaterEventsTakeEdgesFromATouch) {
+  const Graph g = Graph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}});
+  ScratchArena arena;
+  GainHeap heap(arena, g);
+  heap.update(0, 0);
+  heap.update(1, 0);
+  heap.update(2, 0);
+  heap.update(3, 0);
+  heap.touch(0, [](const Neighbor&) {});  // 0, 1, 2 on top, 2 first
+  heap.update(0, 0);                      // own push: 0 now tops them
+  heap.touch(2, [&](const Neighbor& nb) {
+    if (nb.edge == 3) heap.remove(3);  // N(2) = 0-2, 1-2: edge 1 moves up
+  });
+  const std::uint64_t expected[] = {1, 0, 2};
+  for (const std::uint64_t id : expected) EXPECT_EQ(heap.pop_best().id, id);
+  EXPECT_EQ(heap.pop_best().id, kInvalidEdge);
+  EXPECT_EQ(heap.live(), 0u);
+}
+
+/// The touch heap and its reference, which applies each touch as
+/// per-edge update(f, gain_of(f)) calls in N(x) order.
+struct TouchTwin {
+  GainHeap touched;
+  GainHeap reference;
+};
+
+/// One visit action per neighbour, drawn before the touch so both heaps
+/// see the same one: 0 keep, 1 remove, else rekey to action - 4.
+int draw_action(std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> roll(0, 11);
+  const int r = roll(rng);
+  if (r < 6) return 0;
+  if (r < 7) return 1;
+  return r - 5;  // 2..6: rekey to gain -2..2
+}
+
+/// Random scripts of clear, base writes, update, remove, touch and
+/// pop_best over a small hub-heavy graph. `hub_percent` is the share of
+/// touches at the hub and `churn_percent` the share of steps that rekey
+/// one of a few hot edges; both pile up stale entries until the touch
+/// heap compacts (counted in `rebuilds`). With `wrap`, each update and
+/// touch of the touch heap first rewinds the version it bumps by 0-3
+/// (GainHeapTestPeer), so older entries come back to life as they would
+/// after a wrap.
+void run_touch_scripts(int hub_percent, int churn_percent, std::uint64_t seed,
+                       bool wrap, std::uint64_t& rebuilds) {
+  const Graph graph = gen::chung_lu_power_law(40, 160, 1.8, seed);
+  const std::size_t m = graph.num_edges();
+  VertexId hub = 0;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    if (graph.degree(v) > graph.degree(hub)) hub = v;
+  }
+  ScratchArena arena_a;
+  ScratchArena arena_b;
+  TouchTwin twin{GainHeap(arena_a, graph), GainHeap(arena_b, m)};
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::uint64_t> any_id(0, m - 1);
+  std::uniform_int_distribution<std::uint64_t> hot_id(0, 3);
+  std::uniform_int_distribution<VertexId> any_vertex(
+      0, graph.num_vertices() - 1);
+  std::uniform_int_distribution<int> any_gain(GainHeap::kMinGain,
+                                              GainHeap::kMaxGain);
+  std::uniform_int_distribution<int> percent(0, 99);
+  std::uniform_int_distribution<std::uint32_t> rewind(0, wrap ? 3 : 0);
+  std::vector<int> actions;
+  for (int pass = 0; pass < 6; ++pass) {
+    twin.touched.clear();
+    twin.reference.clear();
+    for (std::uint64_t id = 0; id < m; ++id) {
+      if (percent(rng) < 80) {
+        const int g = any_gain(rng);
+        twin.touched.set_base(id, g);
+        twin.reference.set_base(id, g);
+      }
+    }
+    for (int step = 0; step < 40 * static_cast<int>(m); ++step) {
+      SCOPED_TRACE(::testing::Message() << "pass " << pass << " step "
+                                        << step);
+      const int roll = percent(rng);
+      if (roll < churn_percent + (100 - churn_percent) / 5) {
+        const std::uint64_t id =
+            roll < churn_percent ? hot_id(rng) : any_id(rng);
+        const int g = any_gain(rng);
+        GainHeapTestPeer::rewind_id(twin.touched, id, rewind(rng));
+        twin.touched.update(id, g);
+        twin.reference.update(id, g);
+      } else if (roll < churn_percent + (100 - churn_percent) / 4) {
+        const std::uint64_t id = any_id(rng);
+        twin.touched.remove(id);
+        twin.reference.remove(id);
+      } else if (roll < churn_percent + (100 - churn_percent) / 2) {
+        const VertexId x = percent(rng) < hub_percent ? hub : any_vertex(rng);
+        actions.clear();
+        for (std::size_t i = 0; i < graph.degree(x); ++i) {
+          actions.push_back(draw_action(rng));
+        }
+        std::size_t at = 0;
+        GainHeapTestPeer::rewind_vertex(twin.touched, x, rewind(rng));
+        twin.touched.touch(x, [&](const Neighbor& nb) {
+          const int action = actions[at++];
+          if (action == 1) twin.touched.remove(nb.edge);
+          if (action >= 2) twin.touched.rekey(nb.edge, action - 4);
+        });
+        at = 0;
+        for (const Neighbor& nb : graph.neighbors(x)) {
+          const int action = actions[at++];
+          if (action == 1) twin.reference.remove(nb.edge);
+          if (action >= 2) twin.reference.update(nb.edge, action - 4);
+          if (twin.reference.contains(nb.edge)) {
+            twin.reference.update(nb.edge, twin.reference.gain_of(nb.edge));
+          }
+        }
+      } else {
+        const GainHeap::Top a = twin.touched.pop_best();
+        const GainHeap::Top b = twin.reference.pop_best();
+        ASSERT_EQ(a.id, b.id);
+        ASSERT_EQ(a.gain, b.gain);
+      }
+      ASSERT_EQ(twin.touched.live(), twin.reference.live());
+      for (const std::uint64_t id : {any_id(rng), hot_id(rng)}) {
+        ASSERT_EQ(twin.touched.contains(id), twin.reference.contains(id));
+        if (twin.touched.contains(id)) {
+          ASSERT_EQ(twin.touched.gain_of(id), twin.reference.gain_of(id));
+        }
+      }
+    }
+    // Drain: the remaining pop order must agree too.
+    for (;;) {
+      const GainHeap::Top a = twin.touched.pop_best();
+      const GainHeap::Top b = twin.reference.pop_best();
+      ASSERT_EQ(a.id, b.id) << "pass " << pass;
+      ASSERT_EQ(a.gain, b.gain) << "pass " << pass;
+      if (a.id == kInvalidEdge) break;
+    }
+    EXPECT_EQ(twin.touched.live(), 0u);
+  }
+  rebuilds += twin.touched.rebuilds();
+}
+
+TEST(GainHeap, TouchScriptsMatchPerEdgeUpdates) {
+  std::uint64_t rebuilds = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_touch_scripts(/*hub_percent=*/20, /*churn_percent=*/0, seed,
+                      /*wrap=*/false, rebuilds);
+    run_touch_scripts(/*hub_percent=*/50, /*churn_percent=*/10, seed,
+                      /*wrap=*/false, rebuilds);
+  }
+}
+
+TEST(GainHeap, TouchScriptsMatchThroughCompaction) {
+  std::uint64_t rebuilds = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_touch_scripts(/*hub_percent=*/90, /*churn_percent=*/60, seed,
+                      /*wrap=*/false, rebuilds);
+  }
+  EXPECT_GE(rebuilds, 4u);  // the scripts did compact
+}
+
+TEST(GainHeap, TouchScriptsMatchAcrossVersionWrap) {
+  // A wrapped version revives an older entry of the same id or vertex; it
+  // sits below the latest one, so it must never pop anything first.
+  std::uint64_t rebuilds = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    run_touch_scripts(/*hub_percent=*/50, /*churn_percent=*/30, seed,
+                      /*wrap=*/true, rebuilds);
+    run_touch_scripts(/*hub_percent=*/90, /*churn_percent=*/60, seed,
+                      /*wrap=*/true, rebuilds);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
 #include "partition/run_context.hpp"
+#include "refine/engine.hpp"
 
 namespace tlp {
 namespace {
@@ -339,6 +340,30 @@ TEST(RunContext, WarmRerunAddsNoArenaMissesOnPowerLaw) {
     (void)algo->partition(g, config, ctx);
     EXPECT_EQ(total_misses(ctx), misses_after_first);
   }
+}
+
+// The gain-heap engine leases all of its scratch: the touch versions, the
+// pass-start key snapshot and the moved-vertex marks included, so a warm
+// rerun on the same context allocates none.
+TEST(RunContext, WarmRefineRerunAddsNoArenaMisses) {
+  const Graph g = gen::chung_lu_power_law(4000, 24000, 2.1, 7);
+  PartitionConfig config;
+  config.num_partitions = 8;
+  const EdgePartition grown = TlpPartitioner{}.partition(g, config);
+  RefineOptions options;
+  options.max_passes = 8;
+  options.escape_budget = 64;
+  options.balance_slack = 1.05;
+  RunContext ctx;
+  EdgePartition part = grown;
+  const RefineResult first = refine::refine_gain(g, part, options, ctx);
+  ASSERT_GT(first.moves, 0u);
+  ASSERT_GT(first.touches, 0u);
+  const std::uint64_t misses_after_first = ctx.arena().misses();
+  EXPECT_GT(misses_after_first, 0u);
+  part = grown;
+  (void)refine::refine_gain(g, part, options, ctx);
+  EXPECT_EQ(ctx.arena().misses(), misses_after_first);
 }
 
 TEST(RunContext, TracksRunsAndAlgorithm) {
