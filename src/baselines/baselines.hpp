@@ -150,25 +150,6 @@ class FennelPartitioner : public Partitioner {
   double gamma_;
 };
 
-/// KL-style flat partitioner (Kernighan & Lin 1970): recursive bisection of
-/// the *original* graph — random balanced split followed by
-/// Fiduccia–Mattheyses pass-with-rollback refinement (the standard modern
-/// KL formulation), no multilevel coarsening. The paper's "offline,
-/// needs-global-information" classic. Edges derived like LDG/METIS.
-/// Counters: vertices_placed, edges_assigned.
-class KlPartitioner : public Partitioner {
- public:
-  [[nodiscard]] std::string name() const override { return "kl"; }
-
-  [[nodiscard]] std::vector<PartitionId> vertex_partition(
-      const Graph& g, const PartitionConfig& config) const;
-
- protected:
-  [[nodiscard]] EdgePartition do_partition(const Graph& g,
-                                           const PartitionConfig& config,
-                                           RunContext& ctx) const override;
-};
-
 /// 2PS — Two-Phase Streaming (Mayer et al. 2022, simplified): phase 1
 /// streams the edges once through a volume-capped streaming clustering
 /// (merge endpoints' clusters when capacity allows); phase 2 packs clusters

@@ -194,9 +194,6 @@ void register_builtin_partitioners() {
     register_partitioner("fennel", [] {
       return std::make_unique<baselines::FennelPartitioner>();
     });
-    register_partitioner("kl", [] {
-      return std::make_unique<baselines::KlPartitioner>();
-    });
     register_partitioner("window_tlp", [] {
       return std::make_unique<stream::WindowTlpPartitioner>();
     });

@@ -51,7 +51,7 @@ struct RunResult {
                                         RunContext& ctx);
 
 /// Registers every built-in algorithm in the global registry. Idempotent.
-/// Names: tlp, metis, ldg, dbh, random, grid, greedy, hdrf, ne, fennel, kl,
+/// Names: tlp, metis, ldg, dbh, random, grid, greedy, hdrf, ne, fennel,
 /// window_tlp, multi_tlp, 2ps, tlp+refine.
 void register_builtin_partitioners();
 

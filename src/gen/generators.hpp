@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -61,29 +60,6 @@ struct RmatParams {
 /// vertex, each edge rewired with probability beta.
 [[nodiscard]] Graph watts_strogatz(VertexId n, std::size_t k, double beta,
                                    std::uint64_t seed);
-
-/// Simplified LFR benchmark graph (Lancichinetti-Fortunato-Radicchi): the
-/// standard community-detection benchmark — power-law degrees AND
-/// power-law community sizes, with a mixing parameter mu giving the
-/// fraction of each vertex's edges that leave its community.
-struct LfrParams {
-  VertexId n = 1000;
-  double avg_degree = 15.0;
-  std::size_t max_degree = 100;
-  double degree_exponent = 2.1;     ///< gamma for the degree tail
-  double community_exponent = 1.5;  ///< beta for community sizes
-  VertexId min_community = 20;
-  VertexId max_community = 200;
-  double mu = 0.2;                  ///< inter-community edge fraction
-};
-
-struct LfrGraph {
-  Graph graph;
-  std::vector<VertexId> community;  ///< ground-truth label per vertex
-  VertexId num_communities = 0;
-};
-
-[[nodiscard]] LfrGraph lfr(const LfrParams& params, std::uint64_t seed);
 
 // ---- deterministic fixtures (tests and worked examples) -------------------
 

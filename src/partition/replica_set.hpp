@@ -11,7 +11,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "graph/types.hpp"
 #include "partition/run_context.hpp"
@@ -20,15 +19,6 @@ namespace tlp {
 
 class ReplicaSetPool {
  public:
-  /// Empty owned pool; reset() before use (for long-lived owners that
-  /// construct before the graph is known, e.g. stream::IncrementalAssigner).
-  ReplicaSetPool() = default;
-
-  /// Owned slab: the pool allocates and owns n x ceil(p/64) words.
-  ReplicaSetPool(std::size_t num_vertices, PartitionId num_partitions) {
-    reset(num_vertices, num_partitions);
-  }
-
   /// Arena-leased slab: one acquire() for the whole table, so a reused
   /// RunContext hands back the same capacity on the next run.
   ReplicaSetPool(ScratchArena& arena, std::size_t num_vertices,
@@ -38,26 +28,6 @@ class ReplicaSetPool {
         lease_(arena.acquire<std::uint64_t>(num_vertices * words_per_vertex_,
                                             0)),
         slab_(lease_->data()) {}
-
-  /// (Re)initializes an owned slab to all-empty sets. Not valid on an
-  /// arena-leased pool.
-  void reset(std::size_t num_vertices, PartitionId num_partitions) {
-    assert(slab_ == nullptr || slab_ == owned_.data());
-    words_per_vertex_ = words_for(num_partitions);
-    num_vertices_ = num_vertices;
-    owned_.assign(num_vertices * words_per_vertex_, 0);
-    slab_ = owned_.data();
-  }
-
-  /// Grows an owned slab to cover at least `num_vertices` vertices; new
-  /// sets start empty, existing sets are preserved. Owned mode only.
-  void grow_to(std::size_t num_vertices) {
-    assert(slab_ == nullptr || slab_ == owned_.data());
-    if (num_vertices <= num_vertices_) return;
-    owned_.resize(num_vertices * words_per_vertex_, 0);
-    num_vertices_ = num_vertices;
-    slab_ = owned_.data();
-  }
 
   [[nodiscard]] bool contains(VertexId v, PartitionId p) const {
     return (word(v)[p / 64] >> (p % 64)) & 1ULL;
@@ -124,13 +94,12 @@ class ReplicaSetPool {
     return slab_ + static_cast<std::size_t>(v) * words_per_vertex_;
   }
 
-  std::size_t words_per_vertex_ = 1;
-  std::size_t num_vertices_ = 0;
+  std::size_t words_per_vertex_;
+  std::size_t num_vertices_;
   ScratchArena::Lease<std::uint64_t> lease_;
-  std::vector<std::uint64_t> owned_;
-  /// Active slab: lease_'s buffer or owned_'s. Stable across moves (both
-  /// holders are vectors, whose heap buffer moves with them).
-  std::uint64_t* slab_ = nullptr;
+  /// lease_'s buffer. Stable across moves (the lease holds a vector, whose
+  /// heap buffer moves with it).
+  std::uint64_t* slab_;
 };
 
 }  // namespace tlp

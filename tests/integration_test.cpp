@@ -10,7 +10,6 @@
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
 #include "graph/io.hpp"
-#include "partition/agreement.hpp"
 #include "partition/metrics.hpp"
 #include "partition/partition_io.hpp"
 #include "partition/registry.hpp"
@@ -24,15 +23,15 @@ TEST(Integration, FullPipelineRoundTrip) {
   const auto graph_path = dir / "tlp_integration_graph.txt";
   const auto parts_path = dir / "tlp_integration.partsb";
 
-  // 1. Generate and persist a community graph.
-  const gen::LfrParams params{.n = 2000, .avg_degree = 14.0, .mu = 0.2};
-  const gen::LfrGraph lfr_graph = gen::lfr(params, 99);
-  io::write_edge_list_file(lfr_graph.graph, graph_path);
+  // 1. Generate and persist a community graph: power-law degrees, 20
+  // blocks holding ~80% of the edges.
+  const Graph generated = gen::dcsbm(2000, 14000, 2.1, 20, 0.8, 99);
+  io::write_edge_list_file(generated, graph_path);
 
   // 2. Reload from disk (no relabeling: ids are already dense).
   const Graph g = io::read_edge_list_file(graph_path, nullptr,
                                           /*relabel=*/false);
-  ASSERT_EQ(g.num_edges(), lfr_graph.graph.num_edges());
+  ASSERT_EQ(g.num_edges(), generated.num_edges());
 
   // 3. Partition via the registry, refine, validate.
   bench::register_builtin_partitioners();
@@ -49,7 +48,6 @@ TEST(Integration, FullPipelineRoundTrip) {
   io::write_partition_binary_file(partition, parts_path);
   const EdgePartition reloaded = io::read_partition_binary_file(parts_path);
   ASSERT_EQ(reloaded.raw(), partition.raw());
-  EXPECT_DOUBLE_EQ(edge_rand_index(partition, reloaded), 1.0);
 
   // 5. Communication is better than a hash placement would be: a GAS
   // superstep sends 2 * (RF - 1) * |V'| messages, so lower RF is less

@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, PartitionerProperties,
     ::testing::Combine(
         ::testing::Values("tlp", "metis", "ldg", "dbh", "random", "grid",
-                          "greedy", "hdrf", "ne", "fennel", "kl", "2ps",
+                          "greedy", "hdrf", "ne", "fennel", "2ps",
                           "window_tlp", "multi_tlp"),
         ::testing::Range(0, static_cast<int>(std::size(kGraphs))),
         ::testing::Values(2, 5, 10)),

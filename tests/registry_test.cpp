@@ -15,8 +15,7 @@ TEST(Registry, BuiltinsAreRegistered) {
   bench::register_builtin_partitioners();
   for (const char* name :
        {"tlp", "metis", "ldg", "dbh", "random", "grid", "greedy", "hdrf",
-        "ne", "fennel", "kl", "2ps", "window_tlp", "multi_tlp",
-        "tlp+refine"}) {
+        "ne", "fennel", "2ps", "window_tlp", "multi_tlp", "tlp+refine"}) {
     EXPECT_TRUE(is_registered(name)) << name;
     const PartitionerPtr p = make_partitioner(name);
     ASSERT_NE(p, nullptr);

@@ -18,7 +18,8 @@ class ReplicaSetPoolWidth : public ::testing::TestWithParam<PartitionId> {};
 TEST_P(ReplicaSetPoolWidth, InsertContainsRoundTripEveryPartition) {
   const PartitionId p = GetParam();
   constexpr std::size_t kVertices = 5;
-  ReplicaSetPool pool(kVertices, p);
+  ScratchArena arena;
+  ReplicaSetPool pool(arena, kVertices, p);
   EXPECT_EQ(pool.words_per_vertex(), (static_cast<std::size_t>(p) + 63) / 64);
   for (VertexId v = 0; v < kVertices; ++v) {
     EXPECT_TRUE(pool.empty(v));
@@ -47,7 +48,8 @@ TEST_P(ReplicaSetPoolWidth, InsertContainsRoundTripEveryPartition) {
 
 TEST_P(ReplicaSetPoolWidth, BoundaryBitsDoNotBleedAcrossVertices) {
   const PartitionId p = GetParam();
-  ReplicaSetPool pool(3, p);
+  ScratchArena arena;
+  ReplicaSetPool pool(arena, 3, p);
   // Highest valid partition id on vertex 1 only: its neighbours' words are
   // adjacent in the slab, so an off-by-one stride would set a bit there.
   pool.insert(1, p - 1);
@@ -63,7 +65,8 @@ TEST_P(ReplicaSetPoolWidth, BoundaryBitsDoNotBleedAcrossVertices) {
 
 TEST_P(ReplicaSetPoolWidth, IntersectsRequiresSharedPartition) {
   const PartitionId p = GetParam();
-  ReplicaSetPool pool(2, p);
+  ScratchArena arena;
+  ReplicaSetPool pool(arena, 2, p);
   EXPECT_FALSE(pool.intersects(0, 1));
   pool.insert(0, 0);
   pool.insert(1, p - 1);
@@ -84,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(WordBoundaries, ReplicaSetPoolWidth,
 
 TEST_P(ReplicaSetPoolWidth, EraseClearsExactlyOneBit) {
   const PartitionId p = GetParam();
-  ReplicaSetPool pool(2, p);
+  ScratchArena arena;
+  ReplicaSetPool pool(arena, 2, p);
   pool.insert(0, 0);
   pool.insert(0, p - 1);
   pool.insert(1, p - 1);
@@ -100,7 +104,8 @@ TEST_P(ReplicaSetPoolWidth, EraseClearsExactlyOneBit) {
 
 TEST_P(ReplicaSetPoolWidth, WordsExposesPackedMembership) {
   const PartitionId p = GetParam();
-  ReplicaSetPool pool(2, p);
+  ScratchArena arena;
+  ReplicaSetPool pool(arena, 2, p);
   pool.insert(1, 0);
   pool.insert(1, p - 1);
   const std::uint64_t* words = pool.words(1);
@@ -141,28 +146,14 @@ TEST(ReplicaSetPool, ArenaReuseAcrossRunsStartsClean) {
   }
 }
 
-TEST(ReplicaSetPool, OwnedModeGrowToPreservesAndExtends) {
-  ReplicaSetPool pool(2, 70);
-  pool.insert(0, 69);
-  pool.insert(1, 3);
-  pool.grow_to(5);
-  EXPECT_EQ(pool.num_vertices(), 5u);
-  EXPECT_TRUE(pool.contains(0, 69));
-  EXPECT_TRUE(pool.contains(1, 3));
-  for (VertexId v = 2; v < 5; ++v) EXPECT_TRUE(pool.empty(v));
-  pool.insert(4, 69);
-  EXPECT_TRUE(pool.contains(4, 69));
-  // Shrinking requests are no-ops.
-  pool.grow_to(1);
-  EXPECT_EQ(pool.num_vertices(), 5u);
-}
-
-TEST(ReplicaSetPool, ResetReshapesAndClears) {
-  ReplicaSetPool pool;
-  pool.reset(3, 10);
-  pool.insert(2, 9);
-  EXPECT_TRUE(pool.contains(2, 9));
-  pool.reset(6, 128);
+TEST(ReplicaSetPool, NewLeaseReshapesAndClears) {
+  ScratchArena arena;
+  {
+    ReplicaSetPool pool(arena, 3, 10);
+    pool.insert(2, 9);
+    EXPECT_TRUE(pool.contains(2, 9));
+  }
+  ReplicaSetPool pool(arena, 6, 128);
   EXPECT_EQ(pool.num_vertices(), 6u);
   EXPECT_EQ(pool.words_per_vertex(), 2u);
   for (VertexId v = 0; v < 6; ++v) EXPECT_TRUE(pool.empty(v));

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Tier-1 verification plus a sanitizer pass.
 #
-#   tools/check.sh            # docs link check, tier-1 build + ctest, then
+#   tools/check.sh            # docs link check, library-consumer check,
+#                             # tier-1 build + ctest, then
 #                             # ASan (Debug, asserts and libstdc++
 #                             # bounds checks on) and UBSan test
 #                             # runs, then the Release smokes
-#   tools/check.sh --fast     # link check + tier-1 only (skip sanitizers +
-#                             # Release smokes)
+#   tools/check.sh --fast     # link + consumer checks and tier-1 only
+#                             # (skip sanitizers + Release smokes)
 #
 # Each configuration builds into its own directory (build/, build-asan/,
 # build-ubsan/, build-release/, build-nosimd/) so incremental re-runs stay
@@ -32,6 +33,11 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # Docs first: cheapest check, catches stale links before any compile.
 echo "== check_links (README, DESIGN, docs/*.md) =="
 python3 tools/check_links.py
+
+# Every src/ header needs an includer outside tests/: a module only its
+# tests use goes with them.
+echo "== check_consumers (src/*/*.hpp includers outside tests/) =="
+python3 tools/check_consumers.py
 
 run_suite() {
   dir="$1"
