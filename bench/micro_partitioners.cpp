@@ -269,7 +269,8 @@ void BM_Stage1Scorer(benchmark::State& state) {
   const Graph g = test_graph(100000);
   const std::vector<Edge> pairs = sampled_pairs(g);
   ScratchArena arena;
-  Stage1Scorer scorer(g, arena);
+  // common(u) never reads the assignment words, so none are passed.
+  Stage1Scorer scorer(g, arena, {});
   for (auto _ : state) {
     std::uint64_t sum = 0;
     for (const Edge& e : pairs) {

@@ -27,11 +27,11 @@ class MultiRun {
         options_(options),
         ctx_(ctx),
         residual_(g, ctx.arena()),
-        partition_(config.num_partitions, g.num_edges()),
+        assignment_(static_cast<std::size_t>(g.num_edges()), kNoPartition),
         member_(ctx.arena(), g.num_vertices(), config.num_partitions),
         touched_(ctx.arena().acquire<std::uint8_t>(g.num_vertices(), 0)),
         seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())),
-        scorer_(g, ctx.arena()),
+        scorer_(g, ctx.arena(), assignment_),
         claimed_(ctx.arena().acquire<VertexId>(0)) {
     std::iota(seed_order_->begin(), seed_order_->end(), VertexId{0});
     std::mt19937_64 rng(config.seed);
@@ -57,8 +57,14 @@ class MultiRun {
         if (step(k, capacity)) progressed = true;
       }
     }
-    flush_telemetry(spill_to_lightest(partition_));
-    return std::move(partition_);
+    // A residual edge's word may hold a Stage-I count code, which the
+    // spill must see as unassigned.
+    if (residual_.unassigned_count() > 0) {
+      Stage1Scorer::clear_counts(assignment_);
+    }
+    EdgePartition partition(p, std::move(assignment_));
+    flush_telemetry(spill_to_lightest(partition));
+    return partition;
   }
 
  private:
@@ -187,7 +193,7 @@ class MultiRun {
         continue;
       }
       residual_.mark_assigned(nb.edge, v, u);
-      partition_.assign(nb.edge, k);
+      assignment_[static_cast<std::size_t>(nb.edge)] = k;
       ++part.e_in;
       claimed_->push_back(u);
       const std::uint64_t* const wu = member_.words(u);
@@ -259,7 +265,8 @@ class MultiRun {
   /// Folds partition k's own join into its frontier: remove the new member
   /// and connect its still-residual neighbors. c grows by one per edge and
   /// μs1 is a running max over static terms, so only the new member's
-  /// Eq. 7 term needs computing, by the Stage-I scorer sequential TLP uses.
+  /// Eq. 7 term needs computing, by the Stage-I scorer sequential TLP uses
+  /// (each edge's count at most once per run).
   /// The claimed edges' far endpoints are members, so no candidate of k
   /// lost a connection or residual degree.
   void apply_join(VertexId v, PartitionId k) {
@@ -270,7 +277,7 @@ class MultiRun {
       if (residual_.is_assigned(nb.edge)) continue;
       const VertexId u = nb.vertex;
       assert(!member_.contains(u, k));
-      const double term = scores.term(u);
+      const double term = scores.term(u, nb.edge);
       if (frontier.contains(u)) {
         const auto& cand = frontier.at(u);
         frontier.upsert(u, cand.c + 1, residual_.residual_degree(u),
@@ -324,6 +331,8 @@ class MultiRun {
     t.add("capacity_closes", capacity_closes);
     t.add("strict_round_ends", 0.0);
     t.add("stage_switches", stage_switches);
+    t.add("stage1_intersections",
+          static_cast<double>(scorer_.intersections()));
     t.set_max("peak_frontier", static_cast<double>(peak_frontier));
     t.set_max("peak_members", static_cast<double>(peak_members));
   }
@@ -334,7 +343,9 @@ class MultiRun {
   RunContext& ctx_;
 
   ResidualState residual_;
-  EdgePartition partition_;
+  /// The output's assignment words; a residual edge's word holds
+  /// kNoPartition or its Stage-I count code (core/stage1_scorer.hpp).
+  std::vector<PartitionId> assignment_;
   ReplicaSetPool member_;
   ScratchArena::Lease<std::uint8_t> touched_;
   ScratchArena::Lease<VertexId> seed_order_;
@@ -350,6 +361,7 @@ class MultiRun {
 EdgePartition MultiTlpPartitioner::do_partition(const Graph& g,
                                                 const PartitionConfig& config,
                                                 RunContext& ctx) const {
+  Stage1Scorer::require_untagged_ids(config.num_partitions);
   MultiRun run(g, config, options_, ctx);
   return run.run();
 }

@@ -25,8 +25,9 @@
 //
 // Telemetry follows the TLP schema (see core/tlp.hpp and docs/API.md):
 // stage counters, degree sums and stage_switches aggregate across all
-// concurrently growing partitions, and the round_* series hold one entry
-// per partition.
+// concurrently growing partitions, stage1_intersections counts the one
+// shared scorer's intersections, and the round_* series hold one entry per
+// partition.
 #pragma once
 
 #include <cstddef>

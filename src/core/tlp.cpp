@@ -56,9 +56,9 @@ class GrowthRun {
         options_(options),
         ctx_(ctx),
         residual_(g, ctx.arena()),
-        partition_(config.num_partitions, g.num_edges()),
+        assignment_(static_cast<std::size_t>(g.num_edges()), kNoPartition),
         frontier_(ctx.arena(), g.num_vertices()),
-        scorer_(g, ctx.arena()),
+        scorer_(g, ctx.arena(), assignment_),
         seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())) {
     // A fixed random permutation provides the paper's "select vertex x from
     // G randomly" deterministically: each (re)seed takes the next vertex in
@@ -82,11 +82,14 @@ class GrowthRun {
               : capacity;
       grow_partition(k, round_capacity);
     }
-    if (residual_.unassigned_count() > 0) {
-      spill_remaining();
-    }
+    // Residual edges can be left only in strict mode; their words may hold
+    // Stage-I count codes, which the spill must see as unassigned.
+    const bool spill = residual_.unassigned_count() > 0;
+    if (spill) Stage1Scorer::clear_counts(assignment_);
+    EdgePartition partition(p, std::move(assignment_));
+    if (spill) totals_.spilled_edges += spill_to_lightest(partition);
     flush_totals();
-    return std::move(partition_);
+    return partition;
   }
 
  private:
@@ -115,7 +118,8 @@ class GrowthRun {
   /// min(deg u, deg v) / deg v; the exact term |N(u) ∩ N(v)| / |N(v)|
   /// comes from the shared Stage-I scorer, and only when the bound beats
   /// u's running μs1. The scorer sets N(v)'s bits on the first such term
-  /// and clears them when the join's scope ends.
+  /// and clears them when the join's scope ends; it counts each edge once
+  /// per run and keeps the count in the edge's assignment word.
   ///
   /// The loop reads, for each neighbour u, u's frontier slot (member?
   /// candidate? its c, r, μs1) and its degree: random accesses into
@@ -137,7 +141,7 @@ class GrowthRun {
       const VertexId u = nb.vertex;
       if (frontier_.is_member(u)) {
         residual_.mark_assigned(nb.edge, v, u);
-        partition_.assign(nb.edge, k);
+        assignment_[static_cast<std::size_t>(nb.edge)] = k;
         ++e_in_;
         assert(e_out_ > 0);
         --e_out_;
@@ -147,8 +151,9 @@ class GrowthRun {
         const double bound =
             static_cast<double>(std::min(g_.degree(u), dv)) /
             static_cast<double>(dv);
-        frontier_.add_connection(u, residual_.residual_degree(u), bound,
-                                 [&scores, u] { return scores.term(u); });
+        frontier_.add_connection(
+            u, residual_.residual_degree(u), bound,
+            [&scores, u, e = nb.edge] { return scores.term(u, e); });
       }
     }
   }
@@ -246,12 +251,6 @@ class GrowthRun {
     flush_round(k, round);
   }
 
-  /// Strict-mode fallback: distribute edges left after p rounds to the
-  /// lightest partitions (keeps the result a complete p-partition).
-  void spill_remaining() {
-    totals_.spilled_edges += spill_to_lightest(partition_);
-  }
-
   void flush_round(PartitionId k, const RoundLocal& round) {
     Telemetry& t = ctx_.telemetry();
     t.append("round_seed", round.seed == kInvalidVertex
@@ -280,6 +279,8 @@ class GrowthRun {
     t.add("strict_round_ends",
           static_cast<double>(totals_.strict_round_ends));
     t.add("stage_switches", static_cast<double>(frontier_.stage_switches()));
+    t.add("stage1_intersections",
+          static_cast<double>(scorer_.intersections()));
     t.set_max("peak_frontier", static_cast<double>(totals_.peak_frontier));
     t.set_max("peak_members", static_cast<double>(totals_.peak_members));
   }
@@ -290,7 +291,9 @@ class GrowthRun {
   RunContext& ctx_;
 
   ResidualState residual_;
-  EdgePartition partition_;
+  /// The output's assignment words; a residual edge's word holds
+  /// kNoPartition or its Stage-I count code (core/stage1_scorer.hpp).
+  std::vector<PartitionId> assignment_;
   Frontier frontier_;
   EdgeId e_in_ = 0;   ///< |E(P_k)| of the partition being grown
   EdgeId e_out_ = 0;  ///< residual external edges of the current partition
@@ -322,6 +325,7 @@ EdgePartition TlpPartitioner::do_partition(const Graph& g,
       (options_.stage_ratio < 0.0 || options_.stage_ratio > 1.0)) {
     throw std::invalid_argument("TlpPartitioner: stage_ratio must be in [0,1]");
   }
+  Stage1Scorer::require_untagged_ids(config.num_partitions);
   GrowthRun run(g, config, options_, ctx);
   return run.run();
 }

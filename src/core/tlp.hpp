@@ -14,7 +14,9 @@
 //             stage2_degree_sum, restarts, spilled_edges, capacity_closes,
 //             strict_round_ends, stage_switches (selections whose stage
 //             differs from the round's previous selection, both
-//             directions); gauges peak_frontier, peak_members
+//             directions), stage1_intersections (Eq. 7 intersections
+//             actually run, at most one per edge); gauges peak_frontier,
+//             peak_members
 //   series    round_seed, round_joins, round_stage1_joins,
 //             round_stage2_joins, round_restarts, round_edges (one entry
 //             per round), and round<k>_modularity when

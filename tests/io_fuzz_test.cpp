@@ -217,7 +217,9 @@ TEST(IoFuzz, EdgeRunReaderNeverCrashes) {
         // Anything the reader does hand out must satisfy the run
         // invariants (it throws before yielding a violation).
         ASSERT_LT(e.u, e.v);
-        if (!first) ASSERT_TRUE(prev < e);
+        if (!first) {
+          ASSERT_TRUE(prev < e);
+        }
         prev = e;
         first = false;
       }

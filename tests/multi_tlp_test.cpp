@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/multi_tlp.hpp"
+#include "core/stage1_scorer.hpp"
 #include "partition/run_context.hpp"
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
@@ -113,6 +114,23 @@ TEST(MultiTlp, RejectsZeroPartitions) {
   const Graph g = gen::path_graph(4);
   EXPECT_THROW((void)MultiTlpPartitioner{}.partition(g, config_for(0)),
                std::invalid_argument);
+}
+
+TEST(MultiTlp, RejectsPartitionIdsWithTheCountTag) {
+  // p = 2^31 fails before the p frontiers or the n x p member bits exist.
+  const Graph g = gen::complete_graph(6);
+  EXPECT_THROW((void)MultiTlpPartitioner{}.partition(
+                   g, config_for(Stage1Scorer::kCountTag)),
+               std::invalid_argument);
+}
+
+TEST(MultiTlp, StageOneIntersectionsAtMostOncePerEdge) {
+  const Graph g = gen::chung_lu_power_law(4000, 24000, 2.1, /*seed=*/13);
+  RunContext ctx;
+  (void)MultiTlpPartitioner{}.partition(g, config_for(10), ctx);
+  const double runs = ctx.telemetry().counter("stage1_intersections");
+  EXPECT_GT(runs, 0.0);
+  EXPECT_LE(runs, static_cast<double>(g.num_edges()));
 }
 
 TEST(MultiTlp, SinglePartitionDegenerates) {

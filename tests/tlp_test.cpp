@@ -153,10 +153,13 @@ TEST(Tlp, NoOvershootRespectsCapacityOutsideLastRound) {
 
 // The Stage-I scorer both growth engines use, checked directly: on a
 // hub-heavy graph the byte oracles reach a hub's join only a few times per
-// run, so a probe that missed a word of N(v) could still match them.
+// run, so a probe that missed a word of N(v) could still match them. Each
+// edge is scored from both ends, so the second term reads the count the
+// first one stored in the edge's word.
 void expect_scorer_matches_common_neighbor_count(const Graph& g) {
   ScratchArena arena;
-  Stage1Scorer scorer(g, arena);
+  std::vector<PartitionId> assignment(g.num_edges(), kNoPartition);
+  Stage1Scorer scorer(g, arena, assignment);
   const auto all_zero = [&scorer] {
     const auto words = scorer.words();
     return std::all_of(words.begin(), words.end(),
@@ -166,16 +169,21 @@ void expect_scorer_matches_common_neighbor_count(const Graph& g) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     {
       Stage1Scorer::Join scores(scorer, v);
-      for (const VertexId u : g.neighbor_ids(v)) {
+      for (const Neighbor& nb : g.neighbors(v)) {
+        const VertexId u = nb.vertex;
         const std::size_t expected = g.common_neighbor_count(u, v);
         ASSERT_EQ(scores.common(u), expected) << "v=" << v << " u=" << u;
-        ASSERT_EQ(scores.term(u), static_cast<double>(expected) /
-                                      static_cast<double>(g.degree(v)))
+        ASSERT_EQ(scores.term(u, nb.edge),
+                  static_cast<double>(expected) /
+                      static_cast<double>(g.degree(v)))
             << "v=" << v << " u=" << u;
       }
     }
     ASSERT_TRUE(all_zero()) << "v=" << v;
   }
+  // common(u) ran at each of the 2m visits; term(u, e) counted each edge
+  // once, at its first visit.
+  EXPECT_EQ(scorer.intersections(), 3 * g.num_edges());
 }
 
 TEST(Stage1Scorer, ProbeMatchesCommonNeighborCountOnHubs) {
@@ -187,6 +195,68 @@ TEST(Stage1Scorer, ProbeMatchesCommonNeighborCountOnSparseGraph) {
   // Degree ~6 everywhere; the rewired edges make N(v) span distant words.
   expect_scorer_matches_common_neighbor_count(
       gen::watts_strogatz(5000, 6, 0.1, 3));
+}
+
+TEST(Stage1Scorer, TermCachesTheCountInTheEdgesWord) {
+  const Graph g = gen::chung_lu_power_law(1000, 6000, 2.1, 7);
+  ScratchArena arena;
+  std::vector<PartitionId> assignment(g.num_edges(), kNoPartition);
+  Stage1Scorer scorer(g, arena, assignment);
+  std::size_t checked = 0;
+  for (VertexId v = 0; v < g.num_vertices(); v += 7) {
+    Stage1Scorer::Join scores(scorer, v);
+    for (const Neighbor& nb : g.neighbors(v)) {
+      const PartitionId before = assignment[nb.edge];
+      if (before != kNoPartition) continue;  // counted from its other end
+      const std::size_t expected = g.common_neighbor_count(nb.vertex, v);
+      const double term = static_cast<double>(expected) /
+                          static_cast<double>(g.degree(v));
+      const std::size_t runs = scorer.intersections();
+      ASSERT_EQ(scores.term(nb.vertex, nb.edge), term);
+      ASSERT_EQ(scorer.intersections(), runs + 1);
+      ASSERT_EQ(assignment[nb.edge],
+                Stage1Scorer::kCountTag | static_cast<PartitionId>(expected));
+      ASSERT_EQ(scores.term(nb.vertex, nb.edge), term);
+      ASSERT_EQ(scorer.intersections(), runs + 1);  // read, not recounted
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  Stage1Scorer::clear_counts(assignment);
+  EXPECT_TRUE(std::all_of(assignment.begin(), assignment.end(),
+                          [](PartitionId w) { return w == kNoPartition; }));
+}
+
+TEST(Stage1Scorer, ClearCountsKeepsClaimedWords) {
+  std::vector<PartitionId> words = {0, 7, Stage1Scorer::kCountTag - 1,
+                                    Stage1Scorer::kCountTag,
+                                    Stage1Scorer::kCountTag | 41,
+                                    kNoPartition};
+  Stage1Scorer::clear_counts(words);
+  EXPECT_EQ(words, (std::vector<PartitionId>{0, 7,
+                                             Stage1Scorer::kCountTag - 1,
+                                             kNoPartition, kNoPartition,
+                                             kNoPartition}));
+}
+
+TEST(Tlp, RejectsPartitionIdsWithTheCountTag) {
+  // p = 2^31 fails before anything p-sized exists; p is never grown.
+  const Graph g = gen::complete_graph(6);
+  for (const PartitionId p :
+       {Stage1Scorer::kCountTag, Stage1Scorer::kCountTag + 5, kNoPartition}) {
+    EXPECT_THROW((void)TlpPartitioner{}.partition(g, config_for(p)),
+                 std::invalid_argument)
+        << p;
+  }
+}
+
+TEST(TlpTelemetry, StageOneIntersectionsAtMostOncePerEdge) {
+  const Graph g = gen::chung_lu_power_law(4000, 24000, 2.1, /*seed=*/13);
+  RunContext ctx;
+  (void)TlpPartitioner{}.partition(g, config_for(10), ctx);
+  const double runs = ctx.telemetry().counter("stage1_intersections");
+  EXPECT_GT(runs, 0.0);
+  EXPECT_LE(runs, static_cast<double>(g.num_edges()));
 }
 
 TEST(TlpTelemetry, StageOneSelectsHigherDegreeVertices) {
@@ -337,6 +407,31 @@ TEST(TlpStrict, SpillTargetsLightestPartitions) {
   // Spill balances the tail: no partition may end up more than one edge
   // lighter than another once spilling has run.
   EXPECT_LE(heaviest - lightest, config.capacity(g.num_edges()));
+}
+
+TEST(TlpStrict, SpillClearsCountsLeftOnResidualEdges) {
+  // Without overshoot, no strict round here ends on an empty frontier: the
+  // last one closes at capacity, so its candidates' edges stay residual
+  // with their Stage-I counts in their words, and reach the spill.
+  TlpOptions options;
+  options.empty_frontier = EmptyFrontierPolicy::kStrict;
+  options.allow_overshoot = false;
+  const TlpPartitioner tlp(options);
+  const Graph g = gen::chung_lu_power_law(2000, 12000, 2.1, /*seed=*/7);
+  const auto config = config_for(4);
+  RunContext ctx;
+  const EdgePartition part = tlp.partition(g, config, ctx);
+  const Telemetry& t = ctx.telemetry();
+  ASSERT_EQ(t.counter("strict_round_ends"), 0.0);
+  ASSERT_EQ(t.series("round_edges")->back(),
+            static_cast<double>(config.capacity(g.num_edges())));
+  ASSERT_GT(t.counter("spilled_edges"), 0.0);
+  ASSERT_GT(t.counter("stage1_intersections"), 0.0);
+  EXPECT_TRUE(validate(g, part, config).ok());
+  for (const PartitionId w : part.raw()) {
+    ASSERT_LT(w, config.num_partitions);
+    ASSERT_LT(w, Stage1Scorer::kCountTag);
+  }
 }
 
 TEST(TlpNoOvershoot, RoundCloseIsCounted) {

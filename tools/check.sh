@@ -4,8 +4,8 @@
 #   tools/check.sh            # docs link check, library-consumer check,
 #                             # tier-1 build + ctest, then
 #                             # ASan (Debug, asserts and libstdc++
-#                             # bounds checks on) and UBSan test
-#                             # runs, then the Release smokes
+#                             # bounds checks on) and UBSan (-Werror)
+#                             # test runs, then the Release smokes
 #   tools/check.sh --fast     # link + consumer checks and tier-1 only
 #                             # (skip sanitizers + Release smokes)
 #
@@ -73,7 +73,9 @@ fi
 run_suite build-asan -DTLP_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
-run_suite build-ubsan -DTLP_SANITIZE=undefined \
+# The UBSan leg also builds with -Werror, so a new compiler warning fails
+# CI instead of scrolling past in the tier-1 build log.
+run_suite build-ubsan -DTLP_SANITIZE=undefined -DTLP_WERROR=ON \
   -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF
 
 # Refinement perf smoke: two graphs at quarter scale through the win-
