@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks: partitioner throughput scaling, the two
 // refinement engines, and the hot substrate operations (CSR construction,
-// common-neighbor counting per intersect kernel and by the Stage-I scorer,
+// common-neighbor counting by intersection and by the Stage-I scorer,
 // frontier churn). Complements the table/figure reproductions with the
 // paper's Section III.E complexity discussion (TLP is O(L^2 d^2) worst
 // case; these curves show the practical near-linear behavior).
@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "baselines/baselines.hpp"
@@ -21,7 +20,6 @@
 #include "stream/window_tlp.hpp"
 #include "gen/generators.hpp"
 #include "graph/builder.hpp"
-#include "graph/intersect_kernels.hpp"
 #include "metis/multilevel.hpp"
 #include "partition/metrics.hpp"
 
@@ -233,33 +231,20 @@ std::vector<Edge> sampled_pairs(const Graph& g) {
   return pairs;
 }
 
-/// One intersect kernel (the argument is its intersect::Kernel value) over
-/// the sampled pairs. Items/s is intersections per second.
+/// Graph::common_neighbor_count over the sampled pairs. Items/s is
+/// intersections per second.
 void BM_CommonNeighborCount(benchmark::State& state) {
-  const auto kind = static_cast<intersect::Kernel>(state.range(0));
-  if (!intersect::supported(kind)) {
-    state.SkipWithError("kernel not supported on this CPU/build");
-    return;
-  }
   const Graph g = test_graph(100000);
   const std::vector<Edge> pairs = sampled_pairs(g);
-
-  const intersect::Kernel entry = intersect::active_kind();
-  (void)intersect::set_active(kind);
   for (auto _ : state) {
     std::uint64_t sum = 0;
     for (const Edge& e : pairs) sum += g.common_neighbor_count(e.u, e.v);
     benchmark::DoNotOptimize(sum);
   }
-  (void)intersect::set_active(entry);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pairs.size()));
-  state.SetLabel(std::string(intersect::kernel_name(kind)));
 }
-BENCHMARK(BM_CommonNeighborCount)
-    ->Arg(static_cast<int>(intersect::Kernel::kScalar))
-    ->Arg(static_cast<int>(intersect::Kernel::kAvx2))
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CommonNeighborCount)->Unit(benchmark::kMicrosecond);
 
 /// The growth engines' Stage-I scorer over the same pairs, one join scope
 /// per pair: set N(e.v)'s bits, probe along N(e.u), clear. Every probe

@@ -100,8 +100,8 @@ bool Graph::has_edge(VertexId u, VertexId v) const {
 std::size_t Graph::common_neighbor_count(VertexId u, VertexId v) const {
   const auto a = neighbor_ids(u);
   const auto b = neighbor_ids(v);
-  // The active intersect kernel handles the swap/empty preconditions and
-  // the merge-vs-gallop dispatch. Operates on neighbor_ids spans, so it is
+  // intersect::count handles the swap/empty preconditions and the
+  // merge-vs-gallop choice. Operates on neighbor_ids spans, so it is
   // storage-tier-agnostic by construction.
   return intersect::count(a.data(), a.size(), b.data(), b.size());
 }

@@ -99,13 +99,12 @@ class Graph {
   /// True iff u and v are adjacent. O(log deg) via binary search.
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
 
-  /// Number of common neighbors |N(u) ∩ N(v)|, through the active
-  /// intersect kernel (graph/intersect_kernels.hpp): a lane-parallel block
-  /// merge of the sorted adjacency lists, or a galloping intersection when
-  /// the degrees are skewed by ≥ intersect::kGallopSkew× (hub vertices in
-  /// power-law graphs). Every kernel returns the exact count, so results
-  /// are kernel-invariant; operates on neighbor_ids spans, so it is
-  /// tier-agnostic by construction.
+  /// Number of common neighbors |N(u) ∩ N(v)|, by intersect::count
+  /// (graph/intersect_kernels.hpp): a linear merge of the sorted adjacency
+  /// lists, or a galloping intersection when the degrees are skewed by
+  /// ≥ intersect::kGallopSkew× (hub vertices in power-law graphs).
+  /// Operates on neighbor_ids spans, so it is tier-agnostic by
+  /// construction.
   [[nodiscard]] std::size_t common_neighbor_count(VertexId u, VertexId v) const;
 
   /// Releases the mapped adjacency spans back to the kernel

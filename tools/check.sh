@@ -10,21 +10,17 @@
 #                             # (skip sanitizers + Release smokes)
 #
 # Each configuration builds into its own directory (build/, build-asan/,
-# build-ubsan/, build-release/, build-nosimd/) so incremental re-runs stay
+# build-ubsan/, build-release/) so incremental re-runs stay
 # cheap. No library code starts a thread, so there is no ThreadSanitizer
 # leg. The refinement perf smoke runs refine_runtime's win table at -O2. The
 # growth oracle (TlpReference*), the multi_tlp byte pin and level-rounds
 # check (MultiTlp.OutputBytesPinned, MultiTlp.RoundsStayLevel), the
 # warm-arena gate
-# (RunContext.WarmRerunAddsNoArenaMissesOnPowerLaw) and kernel identity
-# (KernelDifferential*) run in every ctest leg. The out-of-core leg caps
-# the heap with `ulimit -d` below the CSR size and requires the mmap
-# storage tier to reproduce the uncapped reference partition byte-for-byte
-# while the in-memory control run dies on the same cap. The nosimd leg
-# builds with -DTLP_DISABLE_SIMD=ON and proves the scalar-only
-# configuration dispatches scalar and still passes the kernel and graph
-# suites (the tier-1 kernel suites already sweep every supported kernel
-# in-process and byte-compare their partitions).
+# (RunContext.WarmRerunAddsNoArenaMissesOnPowerLaw) run in every ctest
+# leg. The out-of-core leg caps the heap with `ulimit -d` below the CSR
+# size and requires the mmap storage tier to reproduce the uncapped
+# reference partition byte-for-byte while the in-memory control run dies
+# on the same cap.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -134,17 +130,5 @@ if sh -c "ulimit -d $ING_CAP_KB; \
 fi
 echo "-- in-memory control build failed under the cap, as required"
 
-# Scalar-only configuration: -DTLP_DISABLE_SIMD=ON compiles the vector
-# kernels out entirely; dispatch must resolve to scalar
-# (IntersectKernels.ScalarOnlyBuildDispatchesScalar) and the kernel + graph
-# suites must still pass.
-echo "== configure build-nosimd (-DTLP_DISABLE_SIMD=ON) =="
-cmake -B build-nosimd -S . -DTLP_DISABLE_SIMD=ON \
-  -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF > /dev/null
-cmake --build build-nosimd -j "$JOBS" \
-  --target intersect_kernels_test kernel_differential_test graph_test
-(cd build-nosimd && ctest --output-on-failure \
-  -R 'IntersectKernels|IntersectionCost|KernelDifferential|Graph')
-
 echo "check.sh: tier-1 + ASan + UBSan + refine smoke + out-of-core +" \
-     "ingest + nosimd green"
+     "ingest green"
