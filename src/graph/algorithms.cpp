@@ -1,8 +1,10 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -103,18 +105,36 @@ Graph induced_subgraph(const Graph& g, const std::vector<VertexId>& vertices) {
 }
 
 std::vector<std::size_t> triangle_counts(const Graph& g) {
-  std::vector<std::size_t> counts(g.num_vertices(), 0);
-  for (const Edge& e : g.edges()) {
-    // Each triangle through edge (u,v) contributes one common neighbor.
-    const std::size_t t = g.common_neighbor_count(e.u, e.v);
-    counts[e.u] += t;
-    counts[e.v] += t;
+  // Each triangle u < v < w is found once, from its smallest vertex u: the
+  // bits of u's higher neighbours are set once, then the higher neighbours
+  // of each such v are probed against them, as Stage1Scorer probes N(v).
+  // Adjacency lists ascend, so a vertex's higher neighbours are a suffix,
+  // and a probe stops past u's largest neighbour.
+  const VertexId n = g.num_vertices();
+  std::vector<std::size_t> counts(n, 0);
+  std::vector<std::uint64_t> bits((static_cast<std::size_t>(n) + 63) / 64, 0);
+  const auto higher = [&g](VertexId x) {
+    const std::span<const VertexId> ids = g.neighbor_ids(x);
+    const auto first = std::upper_bound(ids.begin(), ids.end(), x);
+    return ids.subspan(static_cast<std::size_t>(first - ids.begin()));
+  };
+  for (VertexId u = 0; u < n; ++u) {
+    const std::span<const VertexId> nu = higher(u);
+    if (nu.size() < 2) continue;
+    for (const VertexId v : nu) bits[v >> 6] |= std::uint64_t{1} << (v & 63);
+    const VertexId last = nu.back();
+    for (const VertexId v : nu.first(nu.size() - 1)) {
+      for (const VertexId w : higher(v)) {
+        if (w > last) break;
+        if ((bits[w >> 6] >> (w & 63)) & 1) {
+          ++counts[u];
+          ++counts[v];
+          ++counts[w];
+        }
+      }
+    }
+    for (const VertexId v : nu) bits[v >> 6] = 0;
   }
-  // Each triangle was counted once per incident edge pair at each vertex:
-  // vertex w in triangle {u,v,w} is a common neighbor for edge (u,v) only,
-  // but w's own counter was incremented via edges (w,u) and (w,v) — i.e.
-  // every vertex of a triangle is counted exactly twice. Halve.
-  for (std::size_t& c : counts) c /= 2;
   return counts;
 }
 

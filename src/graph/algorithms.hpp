@@ -31,7 +31,8 @@ struct ComponentLabels {
 [[nodiscard]] Graph induced_subgraph(const Graph& g,
                                      const std::vector<VertexId>& vertices);
 
-/// Number of triangles each vertex participates in (exact, merge-based).
+/// Number of triangles each vertex participates in (exact; each triangle
+/// is found once, from its smallest vertex, by bitset probes).
 [[nodiscard]] std::vector<std::size_t> triangle_counts(const Graph& g);
 
 /// Local clustering coefficient per vertex: triangles(v) / C(deg(v), 2);

@@ -16,6 +16,7 @@
 
 #include "graph/csr_format.hpp"
 #include "graph/io.hpp"
+#include "util/simd.hpp"
 
 namespace tlp {
 namespace {
@@ -216,6 +217,12 @@ VertexId RelabelTable::intern(VertexId raw) {
   }
 }
 
+void RelabelTable::prefetch(VertexId raw) const {
+  if (!slots_.empty()) {
+    simd::prefetch_read(slots_.data() + home_slot(raw, log2_slots_));
+  }
+}
+
 void RelabelTable::grow() {
   const unsigned log2 = slots_.empty() ? kInitialLog2Slots : log2_slots_ + 1;
   std::vector<std::uint64_t> next(std::size_t{1} << log2, kEmptySlot);
@@ -268,6 +275,7 @@ void GraphBuilder::remove_runs() {
     std::filesystem::remove(path, ec);
   }
   runs_.clear();
+  run_edges_ = 0;
 }
 
 void GraphBuilder::reset() {
@@ -315,6 +323,16 @@ void GraphBuilder::add_edge(VertexId u, VertexId v) {
   if (edges_.size() >= chunk_capacity()) spill_chunk();
 }
 
+void GraphBuilder::add_edges(std::span<const Edge> edges) {
+  if (relabel_) {
+    for (const Edge& e : edges) {
+      relabel_table_.prefetch(e.u);
+      relabel_table_.prefetch(e.v);
+    }
+  }
+  for (const Edge& e : edges) add_edge(e.u, e.v);
+}
+
 void GraphBuilder::spill_chunk() {
   if (edges_.empty()) return;
   radix_sort(edges_, scratch_, edge_key);
@@ -327,6 +345,7 @@ void GraphBuilder::spill_chunk() {
   const auto path = make_temp_path(dir, "tlp-run", ".tlpr");
   io::write_edge_run(path, edges_.data(), edges_.size());
   runs_.push_back(path);
+  run_edges_ += edges_.size();
   edges_.clear();
 }
 
@@ -461,42 +480,16 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
   const std::size_t run_buffers =
       runs_.size() * (std::size_t{1} << 14);  // EdgeRunReader staging
 
-  // Pass 1 — count: one merged scan establishes m and every degree, which
-  // is all the offset section needs. The degree array is the only O(n)
-  // allocation of the merge passes.
-  std::vector<std::uint64_t> degree(static_cast<std::size_t>(n) + 1, 0);
-  std::uint64_t m = 0;
-  for_each_merged_edge([&](const Edge& e) {
-    ++m;
-    ++degree[e.u];
-    ++degree[e.v];
-  });
-  note_live_bytes(degree.capacity() * sizeof(std::uint64_t) + run_buffers +
-                  edges_.capacity() * sizeof(Edge));
-  local.kept_edges = static_cast<std::size_t>(m);
-  // Self-loops were counted at add_edge (external) or in the cleaning pass
-  // above (unbounded); everything else that went missing was a duplicate:
-  // offered == self_loops + duplicates + kept.
-  local.duplicate_edges =
-      local.input_edges - local.self_loops - local.kept_edges;
-
-  io::CsrFileWriter writer(path, n, static_cast<EdgeId>(m));
-  std::uint64_t prefix = 0;
-  writer.append_offset(0);
-  for (VertexId v = 0; v < n; ++v) {
-    prefix += degree[v];
-    writer.append_offset(prefix);
-  }
-  release(degree);
-
-  // Pass 2 — edge section + reverse spill: the merged stream is already
-  // the edge section in id order (ids are positions in the sorted stream),
-  // and it is simultaneously the *forward* adjacency stream (grouped by
-  // the smaller endpoint, ascending). The *reverse* direction (owner = the
-  // larger endpoint) arrives out of order, so it externally sorts through
+  // Pass 1 — count and reverse spill: one merged scan establishes m, which
+  // fixes the section layout. The merged stream is the edge section in id
+  // order (an edge id is its position in the stream, so it needs no m),
+  // and it is the *forward* adjacency stream (grouped by the smaller
+  // endpoint, ascending). The *reverse* direction (owner = the larger
+  // endpoint) arrives out of order, so it externally sorts through
   // bounded (owner, nb, edge) runs. Each run buffer receives its records
   // with nb ascending (the forward stream's order), so a stable sort on
   // the owner alone leaves it in (owner, nb) order.
+  std::uint64_t m = 0;
   std::vector<std::filesystem::path> reverse_runs;
   const std::size_t reverse_capacity =
       external()
@@ -504,17 +497,21 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
           : std::numeric_limits<std::size_t>::max();
   std::vector<ReverseEntry> reverse;
   std::vector<ReverseEntry> reverse_scratch;
-  reverse.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(reverse_capacity, m)));
+  // m is not known yet; the records of the runs (or of the resident list,
+  // already deduplicated) bound it.
+  reverse.reserve(std::min(reverse_capacity,
+                           runs_.empty() ? edges_.size() : run_edges_));
+  const auto buffer_bytes = [&] {
+    return (reverse.capacity() + reverse_scratch.capacity()) *
+               sizeof(ReverseEntry) +
+           run_buffers + edges_.capacity() * sizeof(Edge);
+  };
   const auto owner_key = [](const ReverseEntry& r) {
     return std::uint64_t{r.owner};
   };
   const auto sort_reverse = [&] {
     radix_sort(reverse, reverse_scratch, owner_key);
-    note_live_bytes(
-        (reverse.capacity() + reverse_scratch.capacity()) *
-            sizeof(ReverseEntry) +
-        run_buffers + edges_.capacity() * sizeof(Edge));
+    note_live_bytes(buffer_bytes());
   };
   const std::filesystem::path run_dir =
       storage_.spill_dir.empty() ? std::filesystem::temp_directory_path()
@@ -536,14 +533,21 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
   };
 
   try {
-    std::uint64_t edge_id = 0;
     for_each_merged_edge([&](const Edge& e) {
-      writer.append_edge(e);
-      reverse.push_back(ReverseEntry{e.v, e.u, edge_id});
-      ++edge_id;
+      reverse.push_back(ReverseEntry{e.v, e.u, m});
+      ++m;
       if (reverse.size() >= reverse_capacity) spill_reverse();
     });
+    note_live_bytes(buffer_bytes());
     if (!reverse_runs.empty() && !reverse.empty()) spill_reverse();
+    local.kept_edges = static_cast<std::size_t>(m);
+    // Self-loops were counted at add_edge (external) or in the cleaning
+    // pass above (unbounded); everything else that went missing was a
+    // duplicate: offered == self_loops + duplicates + kept.
+    local.duplicate_edges =
+        local.input_edges - local.self_loops - local.kept_edges;
+
+    io::CsrFileWriter writer(path, n, static_cast<EdgeId>(m));
     if (!reverse_runs.empty()) {
       release(reverse);
     } else {
@@ -551,16 +555,19 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
     }
     release(reverse_scratch);
     local.spill_runs += reverse_runs.size();
-    note_live_bytes(reverse.capacity() * sizeof(ReverseEntry) + run_buffers +
-                    edges_.capacity() * sizeof(Edge) +
-                    reverse_runs.size() * kReverseBufferRecords *
-                        sizeof(ReverseEntry));
+    note_live_bytes(buffer_bytes() + reverse_runs.size() *
+                                         kReverseBufferRecords *
+                                         sizeof(ReverseEntry));
 
-    // Pass 3 — adjacency: merge the reverse runs (owner ascending) against
-    // a fresh forward merge of the edge runs (also owner ascending, with
-    // the same deterministic ids). For any owner x every reverse neighbor
-    // is < x and every forward neighbor is > x, so an (owner, nb) merge
-    // interleaves both directions into exactly the CSR adjacency order.
+    // Pass 2 — edge, adjacency and offset sections: a fresh forward merge
+    // of the edge runs writes the edge section and, merged against the
+    // reverse runs (owner ascending; the forward stream is too, with the
+    // same deterministic ids), the adjacency section. For any owner x every
+    // reverse neighbor is < x and every forward neighbor is > x, so an
+    // (owner, nb) merge interleaves both directions into exactly the CSR
+    // adjacency order. The records come owner by owner, so each owner's
+    // offset is the record count when its first record, or a later
+    // owner's, arrives: no degree array is needed.
     struct ReverseSource {
       std::ifstream in;
       std::uint64_t remaining = 0;
@@ -637,24 +644,46 @@ void GraphBuilder::build_to_file(const std::filesystem::path& path,
       return true;
     };
 
+    std::uint64_t records = 0;
+    VertexId closed = 0;  // offsets[0..closed] are written
+    writer.append_offset(0);
+    const auto close_offsets_to = [&](VertexId last) {
+      while (closed < last) {
+        ++closed;
+        writer.append_offset(records);
+      }
+    };
+    const auto append_adjacency = [&](VertexId owner, VertexId nb,
+                                      EdgeId edge) {
+      close_offsets_to(owner);
+      writer.append_adjacency(nb, edge);
+      ++records;
+    };
+    const auto append_reverse = [&] {
+      append_adjacency(static_cast<VertexId>(rev_key >> 32),
+                       static_cast<VertexId>(rev_key), rev_edge);
+    };
+
     bool have_rev = next_reverse();
     std::uint64_t forward_id = 0;
     for_each_merged_edge([&](const Edge& e) {
+      writer.append_edge(e);
       // Emit every reverse record before (e.u, e.v) first: those belong to
       // owners <= e.u (reverse nb < owner keeps them ahead of the owner's
       // forward records, which start at nb > owner).
       const std::uint64_t key = edge_key(e);
       while (have_rev && rev_key < key) {
-        writer.append_adjacency(static_cast<VertexId>(rev_key), rev_edge);
+        append_reverse();
         have_rev = next_reverse();
       }
-      writer.append_adjacency(e.v, forward_id);
+      append_adjacency(e.u, e.v, forward_id);
       ++forward_id;
     });
     while (have_rev) {
-      writer.append_adjacency(static_cast<VertexId>(rev_key), rev_edge);
+      append_reverse();
       have_rev = next_reverse();
     }
+    close_offsets_to(n);
 
     writer.finish();
   } catch (...) {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,9 @@ class RelabelTable {
  public:
   /// The dense id of `raw`; a new raw id gets the next dense id, size().
   VertexId intern(VertexId raw);
+  /// Hints the cache that intern(raw) will read its home slot soon; a
+  /// no-op on an empty table. A doubling in between wastes the hint.
+  void prefetch(VertexId raw) const;
 
   /// Distinct raw ids interned so far (= the next dense id).
   [[nodiscard]] VertexId size() const { return size_; }
@@ -105,6 +109,12 @@ class GraphBuilder {
   /// std::invalid_argument: num_vertices = max id + 1 would not fit.
   void add_edge(VertexId u, VertexId v);
 
+  /// add_edge on each edge in order, after prefetching the relabel table's
+  /// home slot of every id in the block, so the probes of a large table
+  /// overlap their cache misses. Same ids, reports, spills and errors as
+  /// the add_edge calls alone. The text readers pass 64-edge blocks.
+  void add_edges(std::span<const Edge> edges);
+
   /// Number of edges offered so far via add_edge — the pre-dedup count, NOT
   /// the number the final graph will keep (self-loops and duplicates are
   /// still to be dropped, and in the external regime offered edges may
@@ -135,11 +145,12 @@ class GraphBuilder {
 
   /// Streams the cleaned graph straight into a TLPC CSR file at `path`
   /// without materializing the edge list or the CSR on the heap: one merge
-  /// pass counts degrees and finishes the offset section, the next streams
-  /// the edge section (externally sorting the reverse adjacency), and the
-  /// last interleaves both adjacency directions in CSR order. Output is
-  /// byte-identical to write_csr_file(build(), path) for every budget,
-  /// including 0. The builder is left empty afterwards.
+  /// pass counts m (which fixes the section layout) and externally sorts
+  /// the reverse adjacency; the second streams the edge section and
+  /// interleaves both adjacency directions in CSR order, writing each
+  /// vertex's offset as its records complete. Output is byte-identical to
+  /// write_csr_file(build(), path) for every budget, including 0. The
+  /// builder is left empty afterwards.
   void build_to_file(const std::filesystem::path& path,
                      BuildReport* report = nullptr);
 
@@ -164,6 +175,7 @@ class GraphBuilder {
   EdgeList edges_;  // in-memory: raw offered edges; external: current chunk
   EdgeList scratch_;  // radix-sort buffer for edges_
   std::vector<std::filesystem::path> runs_;
+  std::size_t run_edges_ = 0;  // records in runs_, before cross-run dedup
   std::size_t offered_ = 0;
   std::size_t dropped_self_loops_ = 0;  // external regime: dropped at add
   std::size_t live_bytes_ = 0;

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <istream>
 #include <random>
+#include <span>
 #include <sstream>
 #include <ostream>
 #include <stdexcept>
@@ -36,28 +37,58 @@ std::ofstream open_output(const std::filesystem::path& path, bool binary) {
   return out;
 }
 
-/// Parses a base-10 VertexId from [pos, end); advances pos past the digits.
-VertexId parse_id(const char*& pos, const char* end, std::size_t line_no) {
-  VertexId value = 0;
+/// Parses a base-10 VertexId from [pos, end) into `value`; advances pos
+/// past the digits. False if there are none or they overflow.
+bool parse_id(const char*& pos, const char* end, VertexId& value) {
   const auto [ptr, ec] = std::from_chars(pos, end, value);
-  if (ec != std::errc{} || ptr == pos) {
-    fail("malformed vertex id on line " + std::to_string(line_no));
-  }
+  if (ec != std::errc{} || ptr == pos) return false;
   pos = ptr;
-  return value;
+  return true;
 }
+
+/// Parsed edges on their way to the builder, handed over
+/// kEdgeListBlockEdges at a time through GraphBuilder::add_edges, which
+/// prefetches the relabel probes of the whole block.
+class EdgeBlock {
+ public:
+  explicit EdgeBlock(GraphBuilder& builder) : builder_(builder) {}
+
+  void push(VertexId u, VertexId v) {
+    edges_[size_++] = Edge{u, v};
+    if (size_ == edges_.size()) flush();
+  }
+  void flush() {
+    builder_.add_edges(std::span<const Edge>(edges_.data(), size_));
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kEdgeListBlockEdges = 64;
+
+  GraphBuilder& builder_;
+  std::array<Edge, kEdgeListBlockEdges> edges_;
+  std::size_t size_ = 0;
+};
 
 /// One edge-list line [pos, end), without its '\n': leading blanks and
 /// '\r' are skipped, blank and '#'/'%' lines are ignored, else "u v" with
 /// blanks or commas between the ids; anything after v is ignored.
 void parse_edge_line(const char* pos, const char* end, std::size_t line_no,
-                     GraphBuilder& builder) {
+                     EdgeBlock& block) {
   while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == '\r')) ++pos;
   if (pos == end || *pos == '#' || *pos == '%') return;
-  const VertexId u = parse_id(pos, end, line_no);
+  const auto malformed = [&] {
+    // The edges of the lines above reach the builder first, so its own
+    // errors keep their place in line order.
+    block.flush();
+    fail("malformed vertex id on line " + std::to_string(line_no));
+  };
+  VertexId u = 0;
+  if (!parse_id(pos, end, u)) malformed();
   while (pos != end && (*pos == ' ' || *pos == '\t' || *pos == ',')) ++pos;
-  const VertexId v = parse_id(pos, end, line_no);
-  builder.add_edge(u, v);
+  VertexId v = 0;
+  if (!parse_id(pos, end, v)) malformed();
+  block.push(u, v);
 }
 
 /// Feeds every edge of a text edge list to `builder`, reading the stream
@@ -65,6 +96,7 @@ void parse_edge_line(const char* pos, const char* end, std::size_t line_no,
 /// the front of the buffer and completes with the next block; a line
 /// longer than the buffer doubles it.
 void add_edge_list(std::istream& in, GraphBuilder& builder) {
+  EdgeBlock block(builder);
   std::vector<char> buf(kEdgeListBlockBytes);
   std::size_t begin = 0;  // first byte not yet parsed
   std::size_t end = 0;    // one past the last byte read
@@ -74,13 +106,13 @@ void add_edge_list(std::istream& in, GraphBuilder& builder) {
     const auto* newline =
         static_cast<const char*>(std::memchr(base + begin, '\n', end - begin));
     if (newline != nullptr) {
-      parse_edge_line(base + begin, newline, ++line_no, builder);
+      parse_edge_line(base + begin, newline, ++line_no, block);
       begin = static_cast<std::size_t>(newline - base) + 1;
       continue;
     }
     if (!in) {  // the last read hit the end: what is left is the last line
       if (begin != end) {
-        parse_edge_line(base + begin, base + end, ++line_no, builder);
+        parse_edge_line(base + begin, base + end, ++line_no, block);
       }
       break;
     }
@@ -91,6 +123,7 @@ void add_edge_list(std::istream& in, GraphBuilder& builder) {
     in.read(buf.data() + end, static_cast<std::streamsize>(buf.size() - end));
     end += static_cast<std::size_t>(in.gcount());
   }
+  block.flush();
   if (in.bad()) fail("I/O error while reading edge list");
 }
 

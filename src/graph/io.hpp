@@ -65,10 +65,9 @@ void write_csr_file(const Graph& g, const std::filesystem::path& path);
 /// Streaming TLPC writer: emits a byte-identical file to write_csr_file
 /// without ever holding a CSR (or the Graph) in memory. (n, m) fix the
 /// section layout up front; each section then accepts sequential appends
-/// through its own cursor, so the offsets section can be finished from a
-/// degree-counting pass before a single adjacency record exists, and the
-/// edges section can fill while adjacency is still unknown (the external-
-/// memory GraphBuilder interleaves exactly this way). Appends are staged
+/// through its own cursor, so the sections may fill in any interleaving
+/// (GraphBuilder::build_to_file appends an edge, its adjacency records and
+/// the offsets they complete in one merged pass). Appends are staged
 /// through fixed-size buffers — O(1) memory regardless of graph size — and
 /// every byte, including Neighbor padding and section alignment gaps, is
 /// written explicitly so files stay byte-deterministic. finish() verifies

@@ -45,6 +45,7 @@ std::vector<PartitionId> MetisPartitioner::vertex_partition(
       std::max<VertexId>(options_.coarsen_until, 4 * k);
   std::uint64_t level_seed = config.seed;
   while (current.num_vertices() > stop_at) {
+    if (ctx != nullptr) ctx->check_cancelled();
     CoarseLevel level = coarsen_hem(current, level_seed++);
     const double shrink = static_cast<double>(level.graph.num_vertices()) /
                           static_cast<double>(current.num_vertices());
@@ -62,7 +63,7 @@ std::vector<PartitionId> MetisPartitioner::vertex_partition(
   std::vector<PartitionId> parts =
       recursive_bisection(current, k, config.seed ^ 0xabcdef12345678ULL);
   kway_refine(current, parts, k, options_.imbalance, options_.refine_passes,
-              config.seed + 17);
+              config.seed + 17, ctx);
   initial_timer.stop();
 
   // --- Uncoarsening + refinement ------------------------------------------
@@ -79,12 +80,12 @@ std::vector<PartitionId> MetisPartitioner::vertex_partition(
     // previous level's output (or the original graph for i == 0).
     const WGraph& graph_here = (i == 0) ? fine : levels[i - 1].graph;
     kway_refine(graph_here, parts, k, options_.imbalance,
-                options_.refine_passes, config.seed + 31 + i);
+                options_.refine_passes, config.seed + 31 + i, ctx);
   }
   if (levels.empty()) {
     // Graph was already tiny; parts is over `current` == original order.
     kway_refine(fine, parts, k, options_.imbalance, options_.refine_passes,
-                config.seed + 31);
+                config.seed + 31, ctx);
   }
   refine_timer.stop();
   return parts;

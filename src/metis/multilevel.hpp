@@ -31,7 +31,9 @@ class MetisPartitioner : public Partitioner {
 
   /// The underlying multilevel vertex partition (exposed for tests and
   /// edge-cut benches). With a context, records per-phase timers
-  /// (coarsen_s, initial_s, refine_s) and the coarsen_levels counter.
+  /// (coarsen_s, initial_s, refine_s) and the coarsen_levels counter, and
+  /// polls its cancel token once per coarsening level and once per
+  /// refinement pass (throws RunCancelled).
   [[nodiscard]] std::vector<PartitionId> vertex_partition(
       const Graph& g, const PartitionConfig& config,
       RunContext* ctx = nullptr) const;

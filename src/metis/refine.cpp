@@ -124,7 +124,7 @@ Weight fm_refine_bisection(const WGraph& g, std::vector<PartitionId>& parts,
 
 Weight kway_refine(const WGraph& g, std::vector<PartitionId>& parts,
                    PartitionId k, double imbalance, int max_passes,
-                   std::uint64_t seed) {
+                   std::uint64_t seed, const RunContext* ctx) {
   const VertexId n = g.num_vertices();
   const Weight total = g.total_vertex_weight();
   const auto max_part = static_cast<Weight>(
@@ -141,6 +141,7 @@ Weight kway_refine(const WGraph& g, std::vector<PartitionId>& parts,
   std::vector<PartitionId> touched;     // parts with conn != 0 (for reset)
 
   for (int pass = 0; pass < max_passes; ++pass) {
+    if (ctx != nullptr) ctx->check_cancelled();
     std::shuffle(order.begin(), order.end(), rng);
     std::size_t moves = 0;
     for (const VertexId v : order) {

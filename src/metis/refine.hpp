@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "metis/wgraph.hpp"
+#include "partition/run_context.hpp"
 
 namespace tlp::metis {
 
@@ -19,8 +20,10 @@ Weight fm_refine_bisection(const WGraph& g, std::vector<PartitionId>& parts,
 /// Greedy k-way boundary refinement: repeatedly move boundary vertices to
 /// the adjacent part with the largest positive gain, subject to the balance
 /// bound max_part_weight <= imbalance * total / k. Returns the final cut.
+/// With a context, polls its cancel token before every pass (throws
+/// RunCancelled).
 Weight kway_refine(const WGraph& g, std::vector<PartitionId>& parts,
                    PartitionId k, double imbalance = 1.05, int max_passes = 8,
-                   std::uint64_t seed = 0);
+                   std::uint64_t seed = 0, const RunContext* ctx = nullptr);
 
 }  // namespace tlp::metis

@@ -112,5 +112,22 @@ TEST(TriangleCounts, BipartiteHasNone) {
                           [](std::size_t c) { return c == 0; }));
 }
 
+TEST(TriangleCounts, MatchesPerEdgeCommonNeighbourCounts) {
+  // Oracle: each triangle through edge (u, v) is one common neighbour, and
+  // each vertex of a triangle sees it through two of its edges.
+  for (const Graph& g : {gen::chung_lu_power_law(3000, 20000, 2.1, 3),
+                         gen::erdos_renyi(500, 6000, 4),
+                         gen::complete_graph(9)}) {
+    std::vector<std::size_t> expected(g.num_vertices(), 0);
+    for (const Edge& e : g.edges()) {
+      const std::size_t t = g.common_neighbor_count(e.u, e.v);
+      expected[e.u] += t;
+      expected[e.v] += t;
+    }
+    for (std::size_t& c : expected) c /= 2;
+    EXPECT_EQ(triangle_counts(g), expected);
+  }
+}
+
 }  // namespace
 }  // namespace tlp

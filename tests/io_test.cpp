@@ -2,14 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
 
 #include "gen/generators.hpp"
+#include "graph/builder.hpp"
 #include "graph/io.hpp"
 
 namespace tlp {
@@ -243,6 +246,223 @@ TEST(EdgeListParser, LineLongerThanBlock) {
   expect_both_parse(comment + "1 2\n" + comment + "2 3\n",
                     {{1, 2}, {2, 3}});
   expect_both_reject(comment + "1 2\n" + comment + "2 y\n", 4);
+}
+
+// The text readers hand parsed edges to GraphBuilder::add_edges in blocks
+// of 64. Each block must build exactly what one add_edge per line builds:
+// the same bytes, report and errors, whether a block is full or partial,
+// and while the relabel table probes colliding slots or doubles.
+
+/// Sets TLP_BUILD_BUDGET, which every GraphBuilder reads, for one scope.
+class ScopedBudget {
+ public:
+  explicit ScopedBudget(std::size_t bytes) {
+    ::setenv("TLP_BUILD_BUDGET", std::to_string(bytes).c_str(), 1);
+  }
+  ~ScopedBudget() { ::unsetenv("TLP_BUILD_BUDGET"); }
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
+};
+
+/// Budget 0 builds in memory; 1 byte floors the chunk at 256 edges, so
+/// every build spills at least one run.
+constexpr std::size_t kBlockBudgets[] = {0, 1};
+
+std::filesystem::path block_path(const std::string& name) {
+  return std::filesystem::temp_directory_path() /
+         ("tlp_io_block_" + std::to_string(::getpid()) + "_" + name);
+}
+
+std::string bytes_of(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void expect_same_report(const BuildReport& got, const BuildReport& want) {
+  EXPECT_EQ(got.input_edges, want.input_edges);
+  EXPECT_EQ(got.self_loops, want.self_loops);
+  EXPECT_EQ(got.duplicate_edges, want.duplicate_edges);
+  EXPECT_EQ(got.kept_edges, want.kept_edges);
+  EXPECT_EQ(got.relabeled, want.relabeled);
+  EXPECT_EQ(got.spill_runs, want.spill_runs);
+  EXPECT_EQ(got.build_peak_bytes, want.build_peak_bytes);
+  EXPECT_EQ(got.relabel_peak_bytes, want.relabel_peak_bytes);
+}
+
+/// `text` holds `edges`, one line each in order, among comment and blank
+/// lines. convert_edge_list_to_csr and read_edge_list must both match a
+/// builder fed one add_edge per edge, at every budget.
+void expect_blocks_match_per_edge(const std::string& text,
+                                  const EdgeList& edges, bool relabel) {
+  const auto text_path = block_path("in.txt");
+  const auto ref_path = block_path("ref.tlpc");
+  const auto conv_path = block_path("conv.tlpc");
+  const auto read_path = block_path("read.tlpc");
+  {
+    std::ofstream out(text_path, std::ios::binary);
+    out << text;
+  }
+  for (const std::size_t budget : kBlockBudgets) {
+    SCOPED_TRACE("budget=" + std::to_string(budget) +
+                 " relabel=" + std::to_string(relabel));
+    const ScopedBudget scoped(budget);
+    GraphBuilder per_edge(relabel);
+    for (const Edge& e : edges) per_edge.add_edge(e.u, e.v);
+    BuildReport want;
+    per_edge.build_to_file(ref_path, &want);
+    if (budget != 0) {
+      EXPECT_GT(want.spill_runs, 0u);
+    }
+    const BuildReport converted =
+        io::convert_edge_list_to_csr(text_path, conv_path, relabel);
+    EXPECT_EQ(bytes_of(conv_path), bytes_of(ref_path));
+    expect_same_report(converted, want);
+
+    // read_edge_list calls build(), whose in-memory report counts its
+    // peak differently from build_to_file's.
+    for (const Edge& e : edges) per_edge.add_edge(e.u, e.v);
+    BuildReport want_read;
+    io::write_csr_file(per_edge.build(&want_read), ref_path);
+    std::istringstream in(text);
+    BuildReport read;
+    io::write_csr_file(io::read_edge_list(in, &read, relabel), read_path);
+    EXPECT_EQ(bytes_of(read_path), bytes_of(ref_path));
+    expect_same_report(read, want_read);
+  }
+  for (const auto& path : {text_path, ref_path, conv_path, read_path}) {
+    std::filesystem::remove(path);
+  }
+}
+
+/// `count` ids below 2^17 that share one home slot in every relabel table
+/// of up to 1024 slots (a shared top-10-bit hash shares every shorter
+/// prefix), so each probe among them walks the same cluster.
+std::vector<VertexId> colliding_ids(std::size_t count) {
+  std::vector<VertexId> ids;
+  const std::size_t home = RelabelTable::home_slot(12345, 10);
+  for (VertexId raw = 0; ids.size() < count && raw < (1u << 17); ++raw) {
+    if (RelabelTable::home_slot(raw, 10) == home) ids.push_back(raw);
+  }
+  EXPECT_EQ(ids.size(), count);
+  return ids;
+}
+
+/// `lines` edge lines over `ids`, with self-loops, duplicates in both
+/// orientations, and comment, blank and CRLF lines in between.
+std::string block_text(std::size_t lines, const std::vector<VertexId>& ids,
+                       std::uint64_t seed, EdgeList& edges) {
+  std::mt19937_64 rng(seed);
+  std::string text = "# header\n";
+  edges.clear();
+  for (std::size_t i = 0; i < lines; ++i) {
+    if (i % 17 == 5) text += "# inside a block\n";
+    if (i % 23 == 9) text += "\n";
+    if (i % 29 == 11) text += "  % indented\r\n";
+    Edge e{ids[rng() % ids.size()], ids[rng() % ids.size()]};
+    if (i % 13 == 7) e.v = e.u;                                // self-loop
+    if (i % 11 == 3 && !edges.empty()) e = {edges.back().v, edges.back().u};
+    edges.push_back(e);
+    text += std::to_string(e.u) + (i % 2 == 0 ? " " : "\t") +
+            std::to_string(e.v) + '\n';
+  }
+  return text;
+}
+
+TEST(EdgeListParser, BlocksMatchPerEdgeBuildAroundTheBlockSize) {
+  const std::vector<VertexId> ids = colliding_ids(48);
+  for (const std::size_t lines : {63, 64, 65, 129, 513}) {
+    for (const bool relabel : {true, false}) {
+      SCOPED_TRACE("lines=" + std::to_string(lines));
+      EdgeList edges;
+      const std::string text = block_text(lines, ids, lines, edges);
+      expect_blocks_match_per_edge(text, edges, relabel);
+    }
+  }
+}
+
+TEST(EdgeListParser, RelabelTableDoublesInsideTheFirstBlock) {
+  // 48 colliding ids in the first 64 lines: the table starts at 16 slots
+  // and doubles to 128 while the first block's probes are in flight.
+  const std::vector<VertexId> ids = colliding_ids(48);
+  EdgeList edges;
+  std::string text = "# colliding ids\n";
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    edges.push_back(Edge{ids[i], ids[(i + 1) % ids.size()]});
+    text += std::to_string(edges.back().u) + ' ' +
+            std::to_string(edges.back().v) + '\n';
+  }
+  RelabelTable table;
+  for (std::size_t i = 0; i < 2; ++i) (void)table.intern(edges[i].u);
+  EXPECT_EQ(table.capacity(), 16u);
+  for (const Edge& e : edges) {
+    (void)table.intern(e.u);
+    (void)table.intern(e.v);
+  }
+  EXPECT_EQ(table.capacity(), 128u);
+  expect_blocks_match_per_edge(text, edges, /*relabel=*/true);
+}
+
+/// convert_edge_list_to_csr's error on `text`, with `relabel`; "" if none.
+/// Its exception type must be `Error`.
+template <typename Error>
+std::string convert_error(const std::string& text, bool relabel) {
+  const auto text_path = block_path("err.txt");
+  const auto tlpc_path = block_path("err.tlpc");
+  {
+    std::ofstream out(text_path, std::ios::binary);
+    out << text;
+  }
+  std::string what;
+  try {
+    io::convert_edge_list_to_csr(text_path, tlpc_path, relabel);
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  std::filesystem::remove(text_path);
+  std::filesystem::remove(tlpc_path);
+  return what;
+}
+
+TEST(EdgeListParser, ErrorsAfterAPartialBlockKeepLineOrder) {
+  std::string head;
+  for (VertexId i = 0; i < 70; ++i) {  // one full block and 6 edges
+    head += std::to_string(i) + ' ' + std::to_string(i + 1) + '\n';
+  }
+  for (const std::size_t budget : kBlockBudgets) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    const ScopedBudget scoped(budget);
+    // A malformed line names its own line, whatever the block holds.
+    for (const bool relabel : {true, false}) {
+      const std::string text = head + "# c\n5 x\n1 2\n";
+      EXPECT_NE(convert_error<std::runtime_error>(text, relabel)
+                    .find("on line 72"),
+                std::string::npos);
+      std::istringstream in(text);
+      EXPECT_THROW(
+          {
+            try {
+              (void)io::read_edge_list(in, nullptr, relabel);
+            } catch (const std::runtime_error& e) {
+              EXPECT_NE(std::string(e.what()).find("on line 72"),
+                        std::string::npos);
+              throw;
+            }
+          },
+          std::runtime_error);
+    }
+    // Without relabel the raw id 0xFFFFFFFF is rejected in line order: its
+    // error comes before the malformed line's, although both lines sit in
+    // one partial block. With relabel it is an ordinary id.
+    const std::string text = head + "4294967295 3\n5 x\n";
+    EXPECT_NE(convert_error<std::invalid_argument>(text, false)
+                  .find("kInvalidVertex"),
+              std::string::npos);
+    std::istringstream in(text);
+    EXPECT_THROW((void)io::read_edge_list(in, nullptr, false),
+                 std::invalid_argument);
+    EXPECT_NE(convert_error<std::runtime_error>(text, true).find("on line 72"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 #                             # ASan (Debug, asserts and libstdc++
 #                             # bounds checks on) and UBSan (-Werror)
 #                             # test runs, then the Release smokes
-#   tools/check.sh --fast     # link + consumer checks and tier-1 only
+#   tools/check.sh --fast     # link + consumer checks, tier-1 and the
+#                             # refinement and ingest reruns only
 #                             # (skip sanitizers + Release smokes)
 #
 # Each configuration builds into its own directory (build/, build-asan/,
@@ -54,6 +55,14 @@ run_suite build
 # full as part of the tier-1 ctest above.
 echo "== refinement smoke (GainHeap + RefineEngine) =="
 (cd build && ctest --output-on-failure -R 'GainHeap|RefineEngine')
+
+# Ingest smoke (~seconds): the builder's differential and spill suites, the
+# relabel table, the text parser (its 64-edge blocks included) and the
+# reader fuzzers, rerun by name so the byte-identity contract of ingest
+# stays visible in the fast leg.
+echo "== ingest smoke (BuilderSpill + RelabelTable + EdgeList* + IoFuzz) =="
+(cd build && ctest --output-on-failure \
+  -R 'BuilderSpill|RelabelTable|EdgeListReader|EdgeListParser|IoFuzz|GraphBuilder')
 
 if [ "${1:-}" = "--fast" ]; then
   echo "check.sh: tier-1 OK (sanitizers skipped)"
